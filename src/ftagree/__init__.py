@@ -27,7 +27,6 @@ from .engine import (
     Trajectory,
     conservation_drift,
     integrate,
-    observed_convergence_time,
     topology_at,
     verify_envelope,
 )

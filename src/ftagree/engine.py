@@ -15,11 +15,11 @@ import numpy as np
 
 from . import bounds
 from .errors import (
-    ConfigError,
     NumericalBlowup,
     ProtocolMismatch,
     TimeBeyondSchedule,
     UnknownTopologyId,
+    ValidationError,
 )
 from .graph import Topology
 from .protocols import ProtocolKind, ProtocolSpec
@@ -35,10 +35,12 @@ class SwitchingSchedule:
 
     def __post_init__(self):
         if not self.phases:
-            raise ConfigError("schedule needs at least one phase")
+            raise ValidationError("schedule needs at least one phase")
         for name, dwell in self.phases:
-            if dwell <= 0:
-                raise ConfigError(f"phase {name!r} has nonpositive dwell {dwell}")
+            if not (math.isfinite(dwell) and dwell > 0):
+                raise ValidationError(
+                    f"phase {name!r} needs a finite positive dwell, got {dwell}"
+                )
         object.__setattr__(self, "phases", tuple(self.phases))
 
     @property
@@ -59,7 +61,43 @@ class Scenario:
     record_every: int = 10
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
+        """Reject invalid content: integrate and parse_scenario rely on this alone."""
+        self.x0 = x0 = np.asarray(self.x0, dtype=float)
+        if x0.ndim != 1 or x0.size < 1:
+            raise ValidationError("x0 must be a nonempty vector")
+        if not np.all(np.isfinite(x0)):
+            raise ValidationError("x0 must be finite")
+        if not self.topologies:
+            raise ValidationError("scenario defines no topologies")
+        for name, top in self.topologies.items():
+            if top.n != x0.size:
+                raise ValidationError(f"topology {name!r} has n={top.n}, x0 has {x0.size}")
+        for key in ("dt", "t_max", "agree_tol"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{key} must be finite and positive, got {value}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValidationError(f"t_max/dt = {self.t_max}/{self.dt} is too many steps")
+        if not (float(self.record_every).is_integer() and self.record_every >= 1):
+            raise ValidationError(
+                f"record_every must be an integer >= 1, got {self.record_every}"
+            )
+        self.record_every = int(self.record_every)
+        if (self.schedule is None) == (self.topology is None):
+            raise ValidationError("scenario needs exactly one of: schedule, topology")
+        if self.topology is not None and self.topology not in self.topologies:
+            raise ValidationError(f"unknown topology reference {self.topology!r}")
+        if self.schedule is None:
+            return
+        for name, dwell in self.schedule.phases:
+            if name not in self.topologies:
+                raise ValidationError(f"schedule references unknown topology {name!r}")
+            steps = dwell / self.dt
+            whole = math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6
+            if not whole or round(steps) < 1:
+                raise ValidationError(
+                    f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}"
+                )
 
 
 @dataclass(frozen=True)
@@ -111,53 +149,6 @@ def topology_at(
     return topologies[name]
 
 
-def _validate(sc: Scenario) -> None:
-    if sc.x0.ndim != 1 or sc.x0.size < 1:
-        raise ConfigError("x0 must be a nonempty vector")
-    if not np.all(np.isfinite(sc.x0)):
-        raise ConfigError("x0 must be finite")
-    n = sc.x0.size
-    if not sc.topologies:
-        raise ConfigError("scenario defines no topologies")
-    for name, top in sc.topologies.items():
-        if top.n != n:
-            raise ConfigError(f"topology {name!r} has n={top.n}, x0 has n={n}")
-    if sc.dt <= 0 or sc.t_max <= 0 or sc.agree_tol <= 0:
-        raise ConfigError("dt, t_max and agree_tol must be positive")
-    if sc.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-    if (sc.schedule is None) == (sc.topology is None):
-        raise ConfigError("scenario needs exactly one of: schedule, topology")
-    if sc.topology is not None and sc.topology not in sc.topologies:
-        raise ConfigError(f"unknown topology reference {sc.topology!r}")
-    if sc.schedule is not None:
-        for name, dwell in sc.schedule.phases:
-            if name not in sc.topologies:
-                raise ConfigError(f"schedule references unknown topology {name!r}")
-            steps = dwell / sc.dt
-            if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
-                raise ConfigError(
-                    f"dwell {dwell} of phase {name!r} is not a multiple of dt={sc.dt}"
-                )
-
-
-def _make_rhs(spec: ProtocolSpec, top: Topology):
-    w = top.weights
-    alpha = spec.alpha
-    if spec.kind is ProtocolKind.P1:
-        def rhs(x):
-            inner = (w * (x[None, :] - x[:, None])).sum(axis=1)
-            return np.sign(inner) * np.abs(inner) ** alpha
-    elif spec.kind is ProtocolKind.P2:
-        def rhs(x):
-            d = x[None, :] - x[:, None]
-            return (w * (np.sign(d) * np.abs(d) ** alpha)).sum(axis=1)
-    else:
-        def rhs(x):
-            return (w * (x[None, :] - x[:, None])).sum(axis=1)
-    return rhs
-
-
 def integrate(sc: Scenario) -> Trajectory:
     """Run the scenario to agreement or t_max with classical RK4.
 
@@ -165,7 +156,6 @@ def integrate(sc: Scenario) -> Trajectory:
     topology and the right-continuous switching signal is discretized
     unambiguously.
     """
-    _validate(sc)
     dt = sc.dt
     x = sc.x0.copy()
 
@@ -178,7 +168,7 @@ def integrate(sc: Scenario) -> Trajectory:
         for idx, ns in enumerate(phase_steps):
             step_phase[pos : pos + ns] = idx
             pos += ns
-        rhss = [_make_rhs(sc.protocol, top) for top in phase_tops]
+        rhss = [sc.protocol.rhs(top) for top in phase_tops]
 
         def rhs_at(k):
             return rhss[step_phase[k % period_steps]]
@@ -187,7 +177,7 @@ def integrate(sc: Scenario) -> Trajectory:
             return phase_tops[step_phase[k % period_steps]]
     else:
         top0 = sc.topologies[sc.topology]
-        rhs0 = _make_rhs(sc.protocol, top0)
+        rhs0 = sc.protocol.rhs(top0)
 
         def rhs_at(k):
             return rhs0
@@ -289,11 +279,6 @@ def verify_envelope(
         violation = vs[i] - bounds.envelope(v_0, K, alpha, ts[i]) - slack
         worst = max(worst, violation)
     return EnvelopeCheck(passed=worst <= 0.0, max_violation=worst)
-
-
-def observed_convergence_time(traj: Trajectory) -> Optional[float]:
-    """Time at which the run snapped to agreement, or None if timed out."""
-    return traj.converged_at
 
 
 def conservation_drift(traj: Trajectory) -> float:

@@ -53,10 +53,6 @@ class ProtocolMismatch(FtagreeError):
     pass
 
 
-class ConfigError(FtagreeError, ValueError):
-    pass
-
-
 class NumericalBlowup(FtagreeError, RuntimeError):
     pass
 
@@ -82,4 +78,7 @@ class ScenarioSyntaxError(FtagreeError, ValueError):
 
 
 class ValidationError(FtagreeError, ValueError):
-    """Scenario parsed fine but its content is semantically invalid."""
+    """A scenario's content is invalid (raised when a Scenario is built)."""
+
+
+ConfigError = ValidationError  # the same type under its older name

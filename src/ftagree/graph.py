@@ -36,6 +36,8 @@ class Topology:
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise TopologyError(f"weight matrix must be {self.n}x{self.n}")
+        if not np.all(np.isfinite(w)):
+            raise TopologyError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise TopologyError("weight matrix must be symmetric")
         if np.any(np.diagonal(w) != 0.0):

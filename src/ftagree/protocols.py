@@ -9,6 +9,7 @@ Two nonlinear protocols plus the linear baseline:
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,33 @@ class ProtocolSpec:
                 f"{self.kind.value} requires alpha in (0,1), got {self.alpha}"
             )
 
+    def rhs(self, t: Topology) -> Callable[[np.ndarray], np.ndarray]:
+        """The vector field x -> u on t, with t's weights bound once.
+
+        The returned map checks nothing: x must be a float vector of
+        length t.n. This is the only place the formulas are written.
+        """
+        w = t.weights
+        alpha = self.alpha
+        if self.kind is ProtocolKind.P1:
+            # Sum the weighted differences directly so constant states give
+            # an exact zero field (an equilibrium, not a roundoff residue).
+            def u(x):
+                return _sig((w * (x[None, :] - x[:, None])).sum(axis=1), alpha)
+        elif self.kind is ProtocolKind.P2:
+            # Each edge contributes an exactly antisymmetric pair of terms,
+            # so the total velocity sums to zero up to roundoff.
+            def u(x):
+                return (w * _sig(x[None, :] - x[:, None], alpha)).sum(axis=1)
+        else:
+            def u(x):
+                return (w * (x[None, :] - x[:, None])).sum(axis=1)
+        return u
+
+
+def _sig(r: np.ndarray, alpha: float) -> np.ndarray:
+    return np.sign(r) * np.abs(r) ** alpha
+
 
 def sig(r, alpha: float):
     """sign(r) * |r|**alpha, exactly odd, exactly zero at r = 0.
@@ -47,12 +75,11 @@ def sig(r, alpha: float):
     """
     if not 0.0 < alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1], got {alpha}")
-    r = np.asarray(r, dtype=float)
-    out = np.sign(r) * np.abs(r) ** alpha
+    out = _sig(np.asarray(r, dtype=float), alpha)
     return out if out.ndim else float(out)
 
 
-def _check_dims(t: Topology, x: np.ndarray) -> np.ndarray:
+def _check_dims(t: Topology, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (t.n,):
         raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
@@ -61,41 +88,22 @@ def _check_dims(t: Topology, x: np.ndarray) -> np.ndarray:
 
 def protocol1_field(t: Topology, x, alpha: float) -> np.ndarray:
     """P1 velocities: the sig nonlinearity wraps each aggregated sum."""
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
-    x = _check_dims(t, x)
-    # Sum the weighted differences directly so constant states give an
-    # exact zero field (an equilibrium, not a roundoff residue).
-    inner = (t.weights * (x[None, :] - x[:, None])).sum(axis=1)
-    return sig(inner, alpha)
+    return ProtocolSpec(ProtocolKind.P1, alpha).rhs(t)(_check_dims(t, x))
 
 
 def protocol2_field(t: Topology, x, alpha: float) -> np.ndarray:
-    """P2 velocities: sig applied per edge, then weighted-summed.
-
-    Each edge contributes an exactly antisymmetric pair of terms, so the
-    total velocity sums to zero up to roundoff.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
-    x = _check_dims(t, x)
-    diffs = x[None, :] - x[:, None]
-    return (t.weights * sig(diffs, alpha)).sum(axis=1)
+    """P2 velocities: sig applied per edge, then weighted-summed."""
+    return ProtocolSpec(ProtocolKind.P2, alpha).rhs(t)(_check_dims(t, x))
 
 
 def linear_field(t: Topology, x) -> np.ndarray:
     """Linear baseline u = -L(A) x."""
-    x = _check_dims(t, x)
-    return (t.weights * (x[None, :] - x[:, None])).sum(axis=1)
+    return ProtocolSpec(ProtocolKind.LINEAR).rhs(t)(_check_dims(t, x))
 
 
 def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
-    """Dispatch to the vector field selected by spec."""
-    if spec.kind is ProtocolKind.P1:
-        return protocol1_field(t, x, spec.alpha)
-    if spec.kind is ProtocolKind.P2:
-        return protocol2_field(t, x, spec.alpha)
-    return linear_field(t, x)
+    """The vector field selected by spec, at x."""
+    return spec.rhs(t)(_check_dims(t, x))
 
 
 def is_equilibrium(t: Topology, x, p: ProtocolSpec, tol: float) -> bool:
@@ -107,5 +115,5 @@ def is_equilibrium(t: Topology, x, p: ProtocolSpec, tol: float) -> bool:
     """
     if not is_connected(t):
         raise DisconnectedTopology("equilibrium test requires a connected graph")
-    u = field(p, t, np.asarray(x, dtype=float))
+    u = field(p, t, x)
     return float(np.abs(u).max()) <= tol

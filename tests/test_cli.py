@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftagree import parse_scenario
 from ftagree.cli import bounds_command, run_cli
@@ -171,3 +173,74 @@ class TestRepro:
         assert (outdir / "protocol1.csv").exists()
         assert (outdir / "protocol2.csv").exists()
         assert (outdir / "switching.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("t_max = 3", "t_max = inf", "t_max"),
+        ("dt = 1e-4", "dt = nan", "dt"),
+        ("t_max = 3", "t_max = 3\nagree_tol = nan", "agree_tol"),
+        ("edge 0 1 1", "edge 0 1 inf", "weights must be finite"),
+        ("edge 0 1 1", "edge 0 1 nan", "weights must be finite"),
+        ("t_max = 3", "t_max = 3\nrecord_every = 2.7", "record_every"),
+    ],
+    ids=["t_max-inf", "dt-nan", "agree_tol-nan", "weight-inf", "weight-nan", "record_every-2.7"],
+)
+def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, old, new, named):
+    p = tmp_path / "bad.scn"
+    p.write_text(TWO_AGENT.replace(old, new))
+    assert run_cli([command, str(p)]) == 2
+    assert named in capsys.readouterr().err
+
+
+# A broken field takes one of these values. 1e308 is left out of t_max:
+# with a large dt it is a valid run of about 1e307 steps.
+BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "2.7", "x"]
+MALFORMED = ["edge 0", "[topology.", "x0 = [1,", "= 3", "frob = 1", "edge a b 1", "alpha = 1"]
+BAD_REFERENCES = ["topology = H", "schedule = G:0.05, Z:0.05", "", "topology = G\nschedule = G:1"]
+FIELDS = [
+    "protocol", "alpha", "x0", "dt", "t_max", "agree_tol", "record_every",
+    "weight", "dwell", "reference", "syntax",
+]
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text from the grammar, with up to two fields broken."""
+    broken = draw(st.sets(st.sampled_from(FIELDS), max_size=2))
+
+    def value(field, good, bad=BAD):
+        return draw(st.sampled_from(bad)) if field in broken else good
+
+    n = draw(st.integers(1, 4))
+    protocol = draw(st.sampled_from(["p1", "p2"]))
+    schedule = f"schedule = G:{value('dwell', '0.05')}, H:0.03 cyclic"
+    reference = draw(st.sampled_from(["topology = G", schedule]))
+    lines = [
+        f"protocol = {value('protocol', protocol, ['linear', 'p3'])}",
+        f"alpha = {value('alpha', '0.5')}",
+        "x0 = [" + ", ".join(value("x0", str(i)) for i in range(n)) + "]",
+        f"dt = {value('dt', '0.01')}",
+        f"t_max = {value('t_max', '0.2', [b for b in BAD if b != '1e308'])}",
+        f"agree_tol = {value('agree_tol', '1e-3')}",
+        f"record_every = {value('record_every', '3')}",
+        value("reference", reference, BAD_REFERENCES),
+    ]
+    for name in ("G", "H"):
+        lines.append(f"[topology.{name}]")
+        lines += [f"edge {i} {i + 1} {value('weight', '1')}" for i in range(n - 1)]
+    if "syntax" in broken:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=scenario_texts())
+def test_any_scenario_text_ends_in_a_documented_exit_code(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("fuzz") / "s.scn"
+    p.write_text(text)
+    for command in ("bounds", "spectral", "simulate"):
+        assert run_cli([command, str(p)]) in (0, 2, 3, 4)

@@ -14,7 +14,6 @@ from ftagree import (
     integrate,
     k1_constant,
     k2_constant,
-    observed_convergence_time,
     path_topology,
     t2_bound,
     topology_at,
@@ -126,7 +125,7 @@ class TestIntegrate:
     def test_timed_out(self):
         traj = integrate(two_agent_scenario(t_max=0.2))
         assert traj.status == "TimedOut"
-        assert observed_convergence_time(traj) is None
+        assert traj.converged_at is None
         assert traj.samples[-1].t == pytest.approx(0.2)
 
     def test_sample_times_strictly_increasing(self):
@@ -257,7 +256,7 @@ class TestLyapunovChecks:
         t, traj = self.run_k3(P2_HALF)
         lam2b = algebraic_connectivity(exponent_transform(t, 0.5))
         bound = t2_bound(v2(np.array([0.0, 1.0, 4.0])), lam2b, 0.5)
-        assert observed_convergence_time(traj) <= bound
+        assert traj.converged_at <= bound
 
 
 class TestConservationDrift:
