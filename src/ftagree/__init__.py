@@ -12,7 +12,9 @@ from .bounds import (
     envelope,
     k1_constant,
     k2_constant,
+    lambda_min,
     lemma1_constant,
+    scenario_bounds,
     t1_bound,
     t1_limit_alpha0,
     t2_bound,

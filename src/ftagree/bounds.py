@@ -7,12 +7,14 @@ graphs, switching schedules, and literature-value reproduction.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
-from .graph import Topology
+from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, ValidationError
+from .graph import Topology, exponent_transform, is_connected
+from .protocols import ProtocolKind
+from .spectral import algebraic_connectivity
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,12 @@ def v2(x) -> float:
     return float(0.5 * (d * d).sum())
 
 
-def _check_bound_args(v_0: float, lam2: float, alpha: float) -> None:
+def _check_bound_args(v_0: float, lam2: float, alpha: Optional[float]) -> None:
     if v_0 < 0:
         raise ValueError(f"initial Lyapunov value must be >= 0, got {v_0}")
     if lam2 <= 0:
         raise DisconnectedTopology(f"algebraic connectivity must be > 0, got {lam2}")
-    if not 0.0 < alpha < 1.0:
+    if alpha is not None and not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
 
 
@@ -92,12 +94,7 @@ def t1_bound(v1_0: float, lambda2_A: float, alpha: float) -> float:
 
 def t1_limit_alpha0(v1_0: float, lambda2_A: float) -> float:
     """alpha -> 0 limit of the protocol-1 bound: sqrt(2 V1(0) / lam2)."""
-    if v1_0 < 0:
-        raise ValueError(f"initial Lyapunov value must be >= 0, got {v1_0}")
-    if lambda2_A <= 0:
-        raise DisconnectedTopology(
-            f"algebraic connectivity must be > 0, got {lambda2_A}"
-        )
+    _check_bound_args(v1_0, lambda2_A, None)
     return math.sqrt(2.0 * v1_0 / lambda2_A)
 
 
@@ -119,6 +116,45 @@ def t3_bound(v2_0: float, lambda_min: float, alpha: float) -> float:
     """Switching-topology bound: the protocol-2 formula with the minimum
     transformed connectivity over all scheduled graphs."""
     return t2_bound(v2_0, lambda_min, alpha)
+
+
+def lambda_min(topologies: Iterable[Topology], alpha: float) -> float:
+    """Minimum transformed algebraic connectivity over the given graphs,
+    the connectivity the switching bound t3 uses."""
+    return min(algebraic_connectivity(exponent_transform(t, alpha)) for t in topologies)
+
+
+def scenario_bounds(sc) -> BoundsReport:
+    """Spectral quantities and the closed-form time bounds of a Scenario.
+
+    The bounds are taken at the first referenced topology; t3 uses the
+    minimum connectivity over the schedule. All referenced topologies
+    must be connected.
+    """
+    alpha = sc.protocol.alpha
+    if sc.protocol.kind is ProtocolKind.LINEAR or not 0.0 < alpha < 1.0:
+        raise ValidationError("time bounds require a nonlinear protocol with alpha in (0,1)")
+    if sc.x0.size < 2:
+        # A single agent has no algebraic connectivity to print (it is +inf).
+        raise ValidationError("time bounds need at least two agents")
+    referenced = [name for name, _ in sc.schedule.phases] if sc.schedule else [sc.topology]
+    for name in referenced:
+        if not is_connected(sc.topologies[name]):
+            raise DisconnectedTopology(f"topology {name!r} is not connected")
+
+    base = sc.topologies[referenced[0]]
+    lam2_a = algebraic_connectivity(base)
+    lam2_b = algebraic_connectivity(exponent_transform(base, alpha))
+    v1_0 = v1(base, sc.x0)
+    v2_0 = v2(sc.x0)
+    t1 = t1_bound(v1_0, lam2_a, alpha)
+    t2 = t2_bound(v2_0, lam2_b, alpha)
+    t3 = t2
+    if sc.schedule is not None:
+        scheduled = [sc.topologies[name] for name in dict.fromkeys(referenced)]
+        t3 = t3_bound(v2_0, lambda_min(scheduled, alpha), alpha)
+    t1_limit = t1_limit_alpha0(v1_0, lam2_a)
+    return BoundsReport(v1_0, v2_0, lam2_a, lam2_b, t1, t2, t3, t1_limit, alpha)
 
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:

@@ -16,62 +16,19 @@ import json
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
+from .bounds import scenario_bounds
 from .engine import Scenario, integrate
-from .errors import DisconnectedTopology, FtagreeError, ValidationError
-from .graph import exponent_transform, is_connected, laplacian
+from .errors import DisconnectedTopology, FtagreeError
+from .graph import laplacian
 from .output import write_trajectory_csv
-from .protocols import ProtocolKind
 from .repro import run_repro
 from .scenario import parse_scenario
-from .spectral import algebraic_connectivity, eigenvalues_symmetric
+from .spectral import eigenvalues_symmetric
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DISCONNECTED = 3
 EXIT_TIMEOUT = 4
-
-
-def bounds_command(sc: Scenario) -> bounds_mod.BoundsReport:
-    """Compose spectral quantities and the closed-form time bounds for a
-    scenario. All referenced topologies must be connected."""
-    alpha = sc.protocol.alpha
-    if sc.protocol.kind is ProtocolKind.LINEAR or not 0.0 < alpha < 1.0:
-        raise ValidationError("time bounds require a nonlinear protocol with alpha in (0,1)")
-    if sc.schedule is not None:
-        referenced = [name for name, _ in sc.schedule.phases]
-    else:
-        referenced = [sc.topology]
-    for name in referenced:
-        if not is_connected(sc.topologies[name]):
-            raise DisconnectedTopology(f"topology {name!r} is not connected")
-
-    base = sc.topologies[referenced[0]]
-    lam2_a = algebraic_connectivity(base)
-    lam2_b = algebraic_connectivity(exponent_transform(base, alpha))
-    v1_0 = bounds_mod.v1(base, sc.x0)
-    v2_0 = bounds_mod.v2(sc.x0)
-    t1 = bounds_mod.t1_bound(v1_0, lam2_a, alpha)
-    t2 = bounds_mod.t2_bound(v2_0, lam2_b, alpha)
-    if sc.schedule is not None:
-        lam_min = min(
-            algebraic_connectivity(exponent_transform(sc.topologies[name], alpha))
-            for name in dict.fromkeys(referenced)
-        )
-        t3 = bounds_mod.t3_bound(v2_0, lam_min, alpha)
-    else:
-        t3 = t2
-    return bounds_mod.BoundsReport(
-        v1_0=v1_0,
-        v2_0=v2_0,
-        lambda2_A=lam2_a,
-        lambda2_B=lam2_b,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        t1_limit_alpha0=bounds_mod.t1_limit_alpha0(v1_0, lam2_a),
-        alpha=alpha,
-    )
 
 
 def _read_scenario(path: str) -> Scenario:
@@ -88,7 +45,7 @@ def _cmd_simulate(args) -> int:
             "status": traj.status,
             "converged_at": traj.converged_at,
             "final_value": traj.final_value,
-            "samples": len(traj.samples),
+            "samples": len(traj.t),
         }
         Path(args.report).write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8"
@@ -105,7 +62,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     sc = _read_scenario(args.file)
-    report = bounds_command(sc)
+    report = scenario_bounds(sc)
     for key, value in dataclasses.asdict(report).items():
         print(f"{key} = {value:.6f}")
     return EXIT_OK

@@ -8,6 +8,7 @@ solution. Integration is forward-time only and fully deterministic.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -41,6 +42,8 @@ class SwitchingSchedule:
                 raise ValidationError(
                     f"phase {name!r} needs a finite positive dwell, got {dwell}"
                 )
+        if not math.isfinite(self.period):
+            raise ValidationError("schedule period must be finite")
         object.__setattr__(self, "phases", tuple(self.phases))
 
     @property
@@ -72,6 +75,14 @@ class Scenario:
         for name, top in self.topologies.items():
             if top.n != x0.size:
                 raise ValidationError(f"topology {name!r} has n={top.n}, x0 has {x0.size}")
+        # The sum, V2 and V1 of a finite x0 can still overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = {"sum(x0)": float(x0.sum()), "V2(0)": bounds.v2(x0)}
+            totals.update((f"V1(0) on topology {name!r}", bounds.v1(top, x0))
+                          for name, top in self.topologies.items())
+        for what, value in totals.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{what} is not finite (overflow)")
         for key in ("dt", "t_max", "agree_tol"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
@@ -98,33 +109,45 @@ class Scenario:
                 raise ValidationError(
                     f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}"
                 )
+        # Phases are half-open and the last sample is taken at t_max.
+        steps = round(self.schedule.period / self.dt)
+        if not self.schedule.cyclic and steps <= round(self.t_max / self.dt):
+            raise ValidationError(
+                f"non-cyclic schedule ends at t={self.schedule.period:g}, "
+                f"not after t_max={self.t_max:g}"
+            )
 
 
-@dataclass(frozen=True)
-class Sample:
-    t: float
-    x: np.ndarray
-    v1: float
-    v2: float
-    spread: float
-    sum: float
+# One row of a Trajectory (see Trajectory.samples).
+Sample = namedtuple("Sample", "t x v1 v2 spread sum")
 
 
 @dataclass
 class Trajectory:
-    samples: list[Sample]
+    """Recorded samples as columns: row i of x (m×n) is the state at t[i]."""
+
+    t: np.ndarray
+    x: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    spread: np.ndarray
+    sum: np.ndarray
     status: str  # "Converged" or "TimedOut"
     converged_at: Optional[float]
     final_value: Optional[float]
     protocol: ProtocolSpec
     dt: float
-    record_every: int
+
+    @property
+    def samples(self) -> list[Sample]:
+        """Read-only rows, rebuilt on each access. Kept only because
+        perfbench/tracing.py reads samples[-1].t and len(samples)."""
+        return list(map(Sample, self.t, self.x, self.v1, self.v2, self.spread, self.sum))
 
 
-def topology_at(
-    s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
-) -> Topology:
-    """Topology active at time t; half-open phase intervals [start, start+dwell)."""
+def _phase_index(s: SwitchingSchedule, t: float) -> int:
+    """Index of the phase active at time t; half-open phase intervals
+    [start, start+dwell), repeated if the schedule is cyclic."""
     if t < 0:
         raise TimeBeyondSchedule(f"time must be >= 0, got {t}")
     period = s.period
@@ -137,13 +160,18 @@ def topology_at(
     # Snap times that are a roundoff shy of a boundary into the new phase.
     eps = 1e-9 * max(1.0, period)
     start = 0.0
-    for name, dwell in s.phases:
+    for idx, (_, dwell) in enumerate(s.phases):
         if r < start + dwell - eps:
-            if name not in topologies:
-                raise UnknownTopologyId(name)
-            return topologies[name]
+            return idx
         start += dwell
-    name = s.phases[0][0]
+    return 0
+
+
+def topology_at(
+    s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
+) -> Topology:
+    """Topology active at time t; half-open phase intervals [start, start+dwell)."""
+    name = s.phases[_phase_index(s, t)][0]
     if name not in topologies:
         raise UnknownTopologyId(name)
     return topologies[name]
@@ -154,52 +182,30 @@ def integrate(sc: Scenario) -> Trajectory:
 
     Dwell times are integer multiples of dt, so every step sees a single
     topology and the right-continuous switching signal is discretized
-    unambiguously.
+    unambiguously. A fixed topology is a cyclic schedule of one phase.
     """
     dt = sc.dt
     x = sc.x0.copy()
-
-    if sc.schedule is not None:
-        phase_steps = [int(round(d / dt)) for _, d in sc.schedule.phases]
-        phase_tops = [sc.topologies[name] for name, _ in sc.schedule.phases]
-        period_steps = sum(phase_steps)
-        step_phase = np.empty(period_steps, dtype=int)
-        pos = 0
-        for idx, ns in enumerate(phase_steps):
-            step_phase[pos : pos + ns] = idx
-            pos += ns
-        rhss = [sc.protocol.rhs(top) for top in phase_tops]
-
-        def rhs_at(k):
-            return rhss[step_phase[k % period_steps]]
-
-        def top_at(k):
-            return phase_tops[step_phase[k % period_steps]]
-    else:
-        top0 = sc.topologies[sc.topology]
-        rhs0 = sc.protocol.rhs(top0)
-
-        def rhs_at(k):
-            return rhs0
-
-        def top_at(k):
-            return top0
-
-    samples: list[Sample] = []
-
-    def record(t, xv, top):
-        samples.append(
-            Sample(
-                t=t,
-                x=xv.copy(),
-                v1=bounds.v1(top, xv),
-                v2=bounds.v2(xv),
-                spread=float(xv.max() - xv.min()),
-                sum=float(xv.sum()),
-            )
-        )
-
+    schedule = sc.schedule or SwitchingSchedule(((sc.topology, dt),))
     n_steps = int(round(sc.t_max / dt))
+    # Phase of each step over one period (or over the whole run, if shorter).
+    period_steps = int(round(schedule.period / dt))
+    step_phase = [
+        _phase_index(schedule, k * dt) for k in range(min(period_steps, n_steps + 1))
+    ]
+    tops = [sc.topologies[name] for name, _ in schedule.phases]
+    rhss = [sc.protocol.rhs(top) for top in tops]
+
+    ts, xs, v1s, v2s, spreads, sums = [], [], [], [], [], []
+
+    def record(t, xv, spread, phase):
+        ts.append(t)
+        xs.append(xv.copy())
+        v1s.append(bounds.v1(tops[phase], xv))
+        v2s.append(bounds.v2(xv))
+        spreads.append(spread)
+        sums.append(float(xv.sum()))
+
     status = "TimedOut"
     converged_at = None
     final_value = None
@@ -210,22 +216,23 @@ def integrate(sc: Scenario) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             t = k * dt
+            phase = step_phase[k % period_steps]
             spread = float(x.max() - x.min())
             if spread <= sc.agree_tol:
                 mean = float(x.mean())
                 x = np.full_like(x, mean)
-                record(t, x, top_at(k))
+                record(t, x, 0.0, phase)
                 status = "Converged"
                 converged_at = t
                 final_value = mean
                 break
             if k == n_steps:
-                if not samples or samples[-1].t < t:
-                    record(t, x, top_at(k))
+                if not ts or ts[-1] < t:
+                    record(t, x, spread, phase)
                 break
             if k % sc.record_every == 0:
-                record(t, x, top_at(k))
-            f = rhs_at(k)
+                record(t, x, spread, phase)
+            f = rhss[phase]
             k1 = f(x)
             k2 = f(x + half * k1)
             k3 = f(x + half * k2)
@@ -235,13 +242,17 @@ def integrate(sc: Scenario) -> Trajectory:
                 raise NumericalBlowup(f"non-finite state at t={t + dt}")
 
     return Trajectory(
-        samples=samples,
+        t=np.array(ts),
+        x=np.array(xs),
+        v1=np.array(v1s),
+        v2=np.array(v2s),
+        spread=np.array(spreads),
+        sum=np.array(sums),
         status=status,
         converged_at=converged_at,
         final_value=final_value,
         protocol=sc.protocol,
         dt=dt,
-        record_every=sc.record_every,
     )
 
 
@@ -263,21 +274,17 @@ def verify_envelope(
     """
     if metric not in ("v1", "v2"):
         raise ValueError(f"metric must be 'v1' or 'v2', got {metric!r}")
-    vs = np.array([getattr(s, metric) for s in traj.samples])
-    ts = np.array([s.t for s in traj.samples])
-    m = len(vs)
-    dvdt = np.zeros(m)
-    if m > 1:
-        rates = np.abs(np.diff(vs) / np.diff(ts))
-        dvdt[0] = rates[0]
-        dvdt[-1] = rates[-1]
-        if m > 2:
-            dvdt[1:-1] = np.maximum(rates[:-1], rates[1:])
+    vs = getattr(traj, metric)
+    ts = traj.t
+    dvdt = np.zeros(len(vs))
+    if len(vs) > 1:
+        # The larger rate of the two sample intervals next to each sample.
+        rates = np.pad(np.abs(np.diff(vs) / np.diff(ts)), 1, mode="edge")
+        dvdt = np.maximum(rates[:-1], rates[1:])
     worst = -math.inf
-    for i in range(m):
+    for i in range(len(vs)):
         slack = 1e-6 * v_0 + 10.0 * traj.dt * dvdt[i]
-        violation = vs[i] - bounds.envelope(v_0, K, alpha, ts[i]) - slack
-        worst = max(worst, violation)
+        worst = max(worst, vs[i] - bounds.envelope(v_0, K, alpha, ts[i]) - slack)
     return EnvelopeCheck(passed=worst <= 0.0, max_violation=worst)
 
 
@@ -289,6 +296,4 @@ def conservation_drift(traj: Trajectory) -> float:
     """
     if traj.protocol.kind is ProtocolKind.P1:
         raise ProtocolMismatch("protocol 1 does not conserve the state sum")
-    sums = [s.sum for s in traj.samples]
-    s0 = sums[0]
-    return max(abs(s - s0) for s in sums)
+    return float(np.abs(traj.sum - traj.sum[0]).max())

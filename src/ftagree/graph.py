@@ -44,6 +44,9 @@ class Topology:
             raise TopologyError("diagonal weights must be zero")
         if np.any(w < 0.0):
             raise NegativeWeight("weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(w.sum(axis=1))):
+                raise TopologyError("weighted degree sums must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

@@ -16,16 +16,14 @@ def _fmt(v: float) -> str:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    if not traj.samples:
+    if not traj.t.size:
         raise ValueError("trajectory has no samples")
-    n = traj.samples[0].x.size
+    n = traj.x.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V1,V2,spread,sum"
     lines = [header]
-    for s in traj.samples:
-        fields = [_fmt(s.t)]
-        fields += [_fmt(v) for v in s.x]
-        fields += [_fmt(s.v1), _fmt(s.v2), _fmt(s.spread), _fmt(s.sum)]
-        lines.append(",".join(fields))
+    tails = zip(traj.v1.tolist(), traj.v2.tolist(), traj.spread.tolist(), traj.sum.tolist())
+    for t, x, tail in zip(traj.t.tolist(), traj.x, tails):
+        lines.append(",".join(map(_fmt, [t, *x.tolist(), *tail])))
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftagree import parse_scenario
-from ftagree.cli import bounds_command, run_cli
+from ftagree import parse_scenario, scenario_bounds
+from ftagree.cli import run_cli
 
 TWO_AGENT = """\
 protocol = p2
@@ -39,7 +43,7 @@ def two_agent_file(tmp_path):
 
 class TestBoundsCommand:
     def test_two_agent_values(self):
-        report = bounds_command(parse_scenario(TWO_AGENT))
+        report = scenario_bounds(parse_scenario(TWO_AGENT))
         assert report.v1_0 == pytest.approx(0.5)
         # V2 = half the squared disagreement norm: 0.5 * (0.25 + 0.25)
         assert report.v2_0 == pytest.approx(0.25)
@@ -65,7 +69,7 @@ edge 0 1 1
 edge 1 2 1
 edge 0 2 1
 """
-        report = bounds_command(parse_scenario(text))
+        report = scenario_bounds(parse_scenario(text))
         # path P3 has the smaller connectivity (1 vs 3), so t3 > t2 of A?
         # base topology is phase A itself here, so t3 equals its t2
         assert report.t3 == pytest.approx(report.t2, rel=1e-12)
@@ -175,22 +179,33 @@ class TestRepro:
         assert (outdir / "switching.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("command", ["simulate", "bounds", "spectral"])
 @pytest.mark.parametrize(
-    "old, new, named",
+    "edits, named",
     [
-        ("t_max = 3", "t_max = inf", "t_max"),
-        ("dt = 1e-4", "dt = nan", "dt"),
-        ("t_max = 3", "t_max = 3\nagree_tol = nan", "agree_tol"),
-        ("edge 0 1 1", "edge 0 1 inf", "weights must be finite"),
-        ("edge 0 1 1", "edge 0 1 nan", "weights must be finite"),
-        ("t_max = 3", "t_max = 3\nrecord_every = 2.7", "record_every"),
+        ({"t_max = 3": "t_max = inf"}, "t_max"),
+        ({"dt = 1e-4": "dt = nan"}, "dt"),
+        ({"t_max = 3": "t_max = 3\nagree_tol = nan"}, "agree_tol"),
+        ({"edge 0 1 1": "edge 0 1 inf"}, "weights must be finite"),
+        ({"edge 0 1 1": "edge 0 1 nan"}, "weights must be finite"),
+        ({"t_max = 3": "t_max = 3\nrecord_every = 2.7"}, "record_every"),
+        ({"[0, 1]": "[1e308, 1e308]"}, "sum(x0)"),
+        ({"[0, 1]": "[1e308, -1e308, 0]", "edge 0 1 1": "edge 0 1 1\nedge 1 2 1"}, "V2(0)"),
+        ({"[0, 1]": "[0, 1e10]", "edge 0 1 1": "edge 0 1 1e300"}, "V1(0)"),
+        ({"[0, 1]": "[0, 1, 2]", "edge 0 1 1": "edge 0 1 1e308\nedge 0 2 1e308"},
+         "degree sums must be finite"),
     ],
-    ids=["t_max-inf", "dt-nan", "agree_tol-nan", "weight-inf", "weight-nan", "record_every-2.7"],
+    ids=[
+        "t_max-inf", "dt-nan", "agree_tol-nan", "weight-inf", "weight-nan", "record_every-2.7",
+        "sum-overflow", "v2-overflow", "v1-overflow", "degree-overflow",
+    ],
 )
-def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, old, new, named):
+def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, edits, named):
+    text = TWO_AGENT
+    for old, new in edits.items():
+        text = text.replace(old, new)
     p = tmp_path / "bad.scn"
-    p.write_text(TWO_AGENT.replace(old, new))
+    p.write_text(text)
     assert run_cli([command, str(p)]) == 2
     assert named in capsys.readouterr().err
 
@@ -216,7 +231,9 @@ def scenario_texts(draw):
 
     n = draw(st.integers(1, 4))
     protocol = draw(st.sampled_from(["p1", "p2"]))
-    schedule = f"schedule = G:{value('dwell', '0.05')}, H:0.03 cyclic"
+    # A non-cyclic schedule must outlast t_max = 0.2; G:0.05, H:0.3 does.
+    tail = draw(st.sampled_from(["0.03 cyclic", "0.03", "0.3"]))
+    schedule = f"schedule = G:{value('dwell', '0.05')}, H:{tail}"
     reference = draw(st.sampled_from(["topology = G", schedule]))
     lines = [
         f"protocol = {value('protocol', protocol, ['linear', 'p3'])}",
@@ -236,11 +253,26 @@ def scenario_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def printed_numbers(out):
+    """Every token of the output that parses as a float, inf and nan included."""
+    numbers = []
+    for token in re.split(r"[\s,=:\[\]()]+", out):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(text=scenario_texts())
 def test_any_scenario_text_ends_in_a_documented_exit_code(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("fuzz") / "s.scn"
     p.write_text(text)
     for command in ("bounds", "spectral", "simulate"):
-        assert run_cli([command, str(p)]) in (0, 2, 3, 4)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_cli([command, str(p)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert all(map(math.isfinite, printed_numbers(out.getvalue()))), out.getvalue()

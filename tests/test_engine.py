@@ -103,8 +103,9 @@ class TestIntegrate:
         traj = integrate(two_agent_scenario(x0=[3.0, 3.0]))
         assert traj.status == "Converged"
         assert traj.converged_at == 0.0
-        assert len(traj.samples) == 1
-        assert traj.samples[0].spread == 0.0
+        assert traj.t.shape == (1,)
+        assert traj.x.shape == (1, 2)
+        assert traj.spread[0] == 0.0
 
     def test_p2_reaches_average(self, rng):
         t = cycle_topology(5)
@@ -126,21 +127,18 @@ class TestIntegrate:
         traj = integrate(two_agent_scenario(t_max=0.2))
         assert traj.status == "TimedOut"
         assert traj.converged_at is None
-        assert traj.samples[-1].t == pytest.approx(0.2)
+        assert traj.t[-1] == pytest.approx(0.2)
 
     def test_sample_times_strictly_increasing(self):
         traj = integrate(two_agent_scenario())
-        ts = [s.t for s in traj.samples]
-        assert ts[0] == 0.0
-        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert traj.t[0] == 0.0
+        assert np.all(np.diff(traj.t) > 0)
 
     def test_determinism(self):
         t1 = integrate(two_agent_scenario())
         t2 = integrate(two_agent_scenario())
-        assert len(t1.samples) == len(t2.samples)
-        for s1, s2 in zip(t1.samples, t2.samples):
-            assert s1.t == s2.t
-            assert np.array_equal(s1.x, s2.x)
+        for column in ("t", "x", "v1", "v2", "spread", "sum"):
+            assert np.array_equal(getattr(t1, column), getattr(t2, column))
         assert t1.converged_at == t2.converged_at
         assert t1.final_value == t2.final_value
 
@@ -157,9 +155,8 @@ class TestIntegrate:
         )
         ta = integrate(Scenario(x0=x0, **base))
         tb = integrate(Scenario(x0=x0 + 7.5, **base))
-        m = min(len(ta.samples), len(tb.samples))
-        for sa, sb in zip(ta.samples[:m], tb.samples[:m]):
-            np.testing.assert_allclose(sb.x, sa.x + 7.5, atol=1e-8)
+        m = min(ta.t.size, tb.t.size)
+        np.testing.assert_allclose(tb.x[:m], ta.x[:m] + 7.5, atol=1e-8)
 
     def test_switching_run_converges_to_average(self):
         tops = {
@@ -180,6 +177,55 @@ class TestIntegrate:
         traj = integrate(sc)
         assert traj.status == "Converged"
         assert traj.final_value == pytest.approx(x0.mean(), abs=1e-3)
+
+    def test_samples_view_matches_columns(self):
+        traj = integrate(two_agent_scenario(t_max=0.2))
+        rows = traj.samples
+        assert len(rows) == traj.t.size
+        assert rows[-1].t == traj.t[-1]
+        assert np.array_equal(rows[-1].x, traj.x[-1])
+        assert [r.v2 for r in rows] == traj.v2.tolist()
+
+    @pytest.mark.parametrize(
+        "phases, cyclic",
+        [
+            ((("A", 0.05), ("B", 0.03)), True),
+            ((("A", 0.05), ("B", 0.03), ("C", 1.0)), False),
+        ],
+        ids=["cyclic", "non-cyclic-covering-t_max"],
+    )
+    def test_recorded_v1_follows_topology_at(self, phases, cyclic):
+        tops = {
+            "A": path_topology(4, 1.0),
+            "B": complete_topology(4, 0.5),
+            "C": cycle_topology(4, 2.0),
+        }
+        sched = SwitchingSchedule(phases=phases, cyclic=cyclic)
+        traj = integrate(
+            Scenario(
+                protocol=P2_HALF,
+                topologies=tops,
+                schedule=sched,
+                x0=[4.0, -2.0, 1.0, 5.0],
+                dt=0.01,
+                t_max=1.0,
+                agree_tol=1e-3,
+                record_every=1,
+            )
+        )
+        seen = set()
+        for t, x, recorded in zip(traj.t, traj.x, traj.v1):
+            top = topology_at(sched, tops, t)
+            seen.add(id(top))
+            assert recorded == v1(top, x)
+        assert len(seen) >= 2
+
+    @pytest.mark.parametrize("t_max", [0.08, 1.0], ids=["ends-at-t_max", "ends-before"])
+    def test_non_cyclic_schedule_must_outlast_t_max(self, t_max):
+        sched = SwitchingSchedule(phases=(("G", 0.05), ("G", 0.03)), cyclic=False)
+        with pytest.raises(ConfigError, match="non-cyclic schedule"):
+            two_agent_scenario(topology=None, schedule=sched, dt=0.01, t_max=t_max)
+        two_agent_scenario(topology=None, schedule=sched, dt=0.01, t_max=0.07)
 
     def test_numerical_blowup(self):
         sc = two_agent_scenario(
@@ -244,13 +290,11 @@ class TestLyapunovChecks:
 
     def test_monotone_decay(self):
         t, traj_p1 = self.run_k3(P1_HALF)
-        vs = [s.v1 for s in traj_p1.samples]
-        slack = 1e-9 * vs[0]
-        assert all(b <= a + slack for a, b in zip(vs, vs[1:]))
+        vs = traj_p1.v1
+        assert np.all(vs[1:] <= vs[:-1] + 1e-9 * vs[0])
         _, traj_p2 = self.run_k3(P2_HALF)
-        vs = [s.v2 for s in traj_p2.samples]
-        slack = 1e-9 * vs[0]
-        assert all(b <= a + slack for a, b in zip(vs, vs[1:]))
+        vs = traj_p2.v2
+        assert np.all(vs[1:] <= vs[:-1] + 1e-9 * vs[0])
 
     def test_observed_before_bound(self):
         t, traj = self.run_k3(P2_HALF)
