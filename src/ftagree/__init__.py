@@ -12,7 +12,6 @@ from .bounds import (
     envelope,
     k1_constant,
     k2_constant,
-    lambda_min,
     lemma1_constant,
     scenario_bounds,
     t1_bound,

@@ -118,7 +118,7 @@ def t3_bound(v2_0: float, lambda_min: float, alpha: float) -> float:
     return t2_bound(v2_0, lambda_min, alpha)
 
 
-def lambda_min(topologies: Iterable[Topology], alpha: float) -> float:
+def _lambda_min(topologies: Iterable[Topology], alpha: float) -> float:
     """Minimum transformed algebraic connectivity over the given graphs,
     the connectivity the switching bound t3 uses."""
     return min(algebraic_connectivity(exponent_transform(t, alpha)) for t in topologies)
@@ -152,7 +152,7 @@ def scenario_bounds(sc) -> BoundsReport:
     t3 = t2
     if sc.schedule is not None:
         scheduled = [sc.topologies[name] for name in dict.fromkeys(referenced)]
-        t3 = t3_bound(v2_0, lambda_min(scheduled, alpha), alpha)
+        t3 = t3_bound(v2_0, _lambda_min(scheduled, alpha), alpha)
     t1_limit = t1_limit_alpha0(v1_0, lam2_a)
     return BoundsReport(v1_0, v2_0, lam2_a, lam2_b, t1, t2, t3, t1_limit, alpha)
 

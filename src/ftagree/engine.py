@@ -10,6 +10,7 @@ solution. Integration is forward-time only and fully deterministic.
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -100,18 +101,23 @@ class Scenario:
             raise ValidationError(f"unknown topology reference {self.topology!r}")
         if self.schedule is None:
             return
+        steps = []
         for name, dwell in self.schedule.phases:
             if name not in self.topologies:
                 raise ValidationError(f"schedule references unknown topology {name!r}")
-            steps = dwell / self.dt
-            whole = math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6
-            if not whole or round(steps) < 1:
+            n = dwell / self.dt
+            whole = math.isfinite(n) and abs(n - round(n)) <= 1e-6
+            if not whole or round(n) < 1:
                 raise ValidationError(
                     f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}"
                 )
+            steps.append(round(n))
+        # Put every dwell exactly on the step grid, so that topology_at on
+        # this schedule and integrate switch at the same step.
+        phases = tuple((name, n * self.dt) for (name, _), n in zip(self.schedule.phases, steps))
+        self.schedule = SwitchingSchedule(phases, self.schedule.cyclic)
         # Phases are half-open and the last sample is taken at t_max.
-        steps = round(self.schedule.period / self.dt)
-        if not self.schedule.cyclic and steps <= round(self.t_max / self.dt):
+        if not self.schedule.cyclic and sum(steps) <= round(self.t_max / self.dt):
             raise ValidationError(
                 f"non-cyclic schedule ends at t={self.schedule.period:g}, "
                 f"not after t_max={self.t_max:g}"
@@ -145,9 +151,17 @@ class Trajectory:
         return list(map(Sample, self.t, self.x, self.v1, self.v2, self.spread, self.sum))
 
 
-def _phase_index(s: SwitchingSchedule, t: float) -> int:
-    """Index of the phase active at time t; half-open phase intervals
-    [start, start+dwell), repeated if the schedule is cyclic."""
+def _phase_index(ends, r):
+    """Phase holding position r of one period, given the cumulative phase
+    ends: phase i holds the half-open interval [ends[i-1], ends[i]), and r
+    at or past the last end wraps to phase 0. Elementwise on an array r."""
+    return np.searchsorted(ends, r, side="right") % len(ends)
+
+
+def topology_at(
+    s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
+) -> Topology:
+    """Topology active at time t; half-open phase intervals [start, start+dwell)."""
     if t < 0:
         raise TimeBeyondSchedule(f"time must be >= 0, got {t}")
     period = s.period
@@ -157,21 +171,11 @@ def _phase_index(s: SwitchingSchedule, t: float) -> int:
         if t >= period:
             raise TimeBeyondSchedule(f"t={t} beyond non-cyclic schedule of {period}")
         r = t
-    # Snap times that are a roundoff shy of a boundary into the new phase.
-    eps = 1e-9 * max(1.0, period)
-    start = 0.0
-    for idx, (_, dwell) in enumerate(s.phases):
-        if r < start + dwell - eps:
-            return idx
-        start += dwell
-    return 0
-
-
-def topology_at(
-    s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
-) -> Topology:
-    """Topology active at time t; half-open phase intervals [start, start+dwell)."""
-    name = s.phases[_phase_index(s, t)][0]
+    # Snap times that are a roundoff shy of a boundary into the new phase,
+    # by far less than the shortest dwell.
+    dwells = [d for _, d in s.phases]
+    eps = min(1e-9 * max(1.0, period), 1e-6 * min(dwells))
+    name = s.phases[_phase_index([end - eps for end in accumulate(dwells)], r)][0]
     if name not in topologies:
         raise UnknownTopologyId(name)
     return topologies[name]
@@ -189,10 +193,9 @@ def integrate(sc: Scenario) -> Trajectory:
     schedule = sc.schedule or SwitchingSchedule(((sc.topology, dt),))
     n_steps = int(round(sc.t_max / dt))
     # Phase of each step over one period (or over the whole run, if shorter).
-    period_steps = int(round(schedule.period / dt))
-    step_phase = [
-        _phase_index(schedule, k * dt) for k in range(min(period_steps, n_steps + 1))
-    ]
+    ends = list(accumulate(round(d / dt) for _, d in schedule.phases))
+    period_steps = ends[-1]
+    step_phase = _phase_index(ends, np.arange(min(period_steps, n_steps + 1))).tolist()
     tops = [sc.topologies[name] for name, _ in schedule.phases]
     rhss = [sc.protocol.rhs(top) for top in tops]
 

@@ -107,7 +107,7 @@ def run_repro(dt: float = 1e-3, agree_tol: float = 1e-4) -> ReproResult:
         "G3": cycle_topology(6, REF_WEIGHT),
         "G4": complete_topology(6, REF_WEIGHT),
     }
-    lambda_min = bounds.lambda_min(schedule_graphs.values(), alpha)
+    lambda_min = bounds._lambda_min(schedule_graphs.values(), alpha)
     t3 = bounds.t3_bound(v2_0, lambda_min, alpha)
 
     reports = [

@@ -187,38 +187,40 @@ class TestIntegrate:
         assert [r.v2 for r in rows] == traj.v2.tolist()
 
     @pytest.mark.parametrize(
-        "phases, cyclic",
+        "phases, cyclic, dt",
         [
-            ((("A", 0.05), ("B", 0.03)), True),
-            ((("A", 0.05), ("B", 0.03), ("C", 1.0)), False),
+            ((("A", 0.05), ("B", 0.03)), True, 0.01),
+            ((("A", 0.05), ("B", 0.03), ("C", 1.0)), False, 0.01),
+            ((("A", 0.05), ("B", 1e6)), False, 1e-3),
+            ((("A", 0.05), ("B", 1e7)), True, 1e-3),
+            ((("A", 0.050000005), ("B", 0.03)), True, 0.01),
         ],
-        ids=["cyclic", "non-cyclic-covering-t_max"],
+        ids=["cyclic", "non-cyclic-covering-t_max", "long-tail", "long-cycle", "off-grid-dwell"],
     )
-    def test_recorded_v1_follows_topology_at(self, phases, cyclic):
+    def test_recorded_v1_follows_topology_at(self, phases, cyclic, dt):
         tops = {
             "A": path_topology(4, 1.0),
             "B": complete_topology(4, 0.5),
             "C": cycle_topology(4, 2.0),
         }
-        sched = SwitchingSchedule(phases=phases, cyclic=cyclic)
-        traj = integrate(
-            Scenario(
-                protocol=P2_HALF,
-                topologies=tops,
-                schedule=sched,
-                x0=[4.0, -2.0, 1.0, 5.0],
-                dt=0.01,
-                t_max=1.0,
-                agree_tol=1e-3,
-                record_every=1,
-            )
+        sc = Scenario(
+            protocol=P2_HALF,
+            topologies=tops,
+            schedule=SwitchingSchedule(phases=phases, cyclic=cyclic),
+            x0=[4.0, -2.0, 1.0, 5.0],
+            dt=dt,
+            t_max=1.0 if dt == 0.01 else 0.1,
+            agree_tol=1e-3,
+            record_every=1,
         )
-        seen = set()
+        traj = integrate(sc)
+        names = []
         for t, x, recorded in zip(traj.t, traj.x, traj.v1):
-            top = topology_at(sched, tops, t)
-            seen.add(id(top))
+            top = topology_at(sc.schedule, tops, t)
+            names.append(next(name for name in tops if tops[name] is top))
             assert recorded == v1(top, x)
-        assert len(seen) >= 2
+        # Phase A holds exactly round(0.05 / dt) steps before the first switch.
+        assert names.index("B") == round(0.05 / dt)
 
     @pytest.mark.parametrize("t_max", [0.08, 1.0], ids=["ends-at-t_max", "ends-before"])
     def test_non_cyclic_schedule_must_outlast_t_max(self, t_max):
