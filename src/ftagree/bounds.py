@@ -49,13 +49,13 @@ def lemma1_constant(n: int, p: float) -> float:
 
 
 def v1(t: Topology, x) -> float:
-    """Edge-energy Lyapunov value: quarter of the weighted double sum
-    of squared state differences (equals half the Laplacian quadratic form)."""
+    """Edge-energy Lyapunov value: half the weighted sum of squared state
+    differences over the edges (half the Laplacian quadratic form)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (t.n,):
         raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
-    diffs = x[None, :] - x[:, None]
-    return float(0.25 * (t.weights * diffs * diffs).sum())
+    d = x[t.j] - x[t.i]
+    return float((t.w * d * d).sum() / 2.0)
 
 
 def disagreement(x) -> DisagreementDecomposition:

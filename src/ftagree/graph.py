@@ -1,12 +1,14 @@
 """Weighted undirected interaction graphs and their Laplacians.
 
-Agents communicate bidirectionally, so a topology is a symmetric
-nonnegative weight matrix with zero diagonal. Edge (i, j) exists iff
-weights[i, j] > 0.
+Agents communicate bidirectionally. A topology is stored as its edge
+arrays i, j, w: one entry per edge, with i < j and w > 0, sorted by
+(i, j). Vector fields and Lyapunov values scatter over these arrays in
+O(|E|); the dense weight matrix and the Laplacian are built only on
+demand, for spectral work.
 """
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -23,19 +25,26 @@ from .errors import (
 Edge = Tuple[int, int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Topology:
-    """Immutable weighted undirected graph on n >= 1 vertices."""
+    """Immutable weighted undirected graph on n >= 1 vertices.
+
+    i, j, w are read-only edge arrays: i < j, w > 0, sorted by (i, j).
+    Build one from an edge list with topology_new, or from a dense
+    symmetric weight matrix with Topology(n, weights).
+    """
 
     n: int
-    weights: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, weights):
+        if n < 1:
             raise TopologyError("topology needs at least one vertex")
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise TopologyError(f"weight matrix must be {self.n}x{self.n}")
+        w = np.array(weights, dtype=float)
+        if w.shape != (n, n):
+            raise TopologyError(f"weight matrix must be {n}x{n}")
         if not np.all(np.isfinite(w)):
             raise TopologyError("weights must be finite")
         if not np.array_equal(w, w.T):
@@ -44,61 +53,117 @@ class Topology:
             raise TopologyError("diagonal weights must be zero")
         if np.any(w < 0.0):
             raise NegativeWeight("weights must be nonnegative")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(w.sum(axis=1))):
-                raise TopologyError("weighted degree sums must be finite")
+        i, j = np.nonzero(w)  # row-major, so the upper half is sorted
+        upper = i < j
+        i, j = i[upper], j[upper]
+        self._store(n, i, j, w[i, j])
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        self.__dict__["weights"] = w  # already at hand: skip the rebuild
+
+    @classmethod
+    def _from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Topology":
+        """Topology on edge arrays as topology_new leaves them: indices in
+        range, no self-loops or repeated pairs, either orientation,
+        nonnegative weights. Rejects a non-finite weight (naming the first,
+        in the given order) and drops zero weights."""
+        bad = ~np.isfinite(w)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise TopologyError(
+                f"edge ({i[k]},{j[k]}) has weight {w[k]}: weights must be finite"
+            )
+        keep = w > 0.0
+        lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+        order = np.argsort(lo * n + hi)
+        t = cls.__new__(cls)
+        t._store(n, lo[order], hi[order], w[keep][order])
+        return t
+
+    def _store(self, n, i, j, w) -> None:
+        """Check the degree sums of sorted edge arrays (i < j, finite
+        w > 0) and store the arrays read-only."""
+        # One bincount adds without numpy's overflow warnings.
+        degree = np.bincount(np.concatenate((i, j)), np.concatenate((w, w)), n)
+        if not np.isfinite(degree).all():
+            v = int(np.argmax(~np.isfinite(degree)))
+            raise TopologyError(f"weighted degree sums must be finite (vertex {v})")
+        for name, arr in (("i", i), ("j", j), ("w", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Dense symmetric weight matrix, built on first use; read-only."""
+        w = np.zeros((self.n, self.n))
+        w[self.i, self.j] = self.w
+        w[self.j, self.i] = self.w
+        w.flags.writeable = False
+        return w
 
     def edges(self) -> list[Edge]:
-        """Unordered edge list (i < j, positive weight)."""
-        ii, jj = np.nonzero(np.triu(self.weights, 1))
-        return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(ii, jj)]
+        """Unordered edge list (i < j, positive weight), sorted by (i, j)."""
+        return list(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     def neighbors(self, i: int) -> list[int]:
-        return [int(j) for j in np.nonzero(self.weights[i])[0]]
+        """Neighbours of vertex i, ascending."""
+        if not 0 <= i < self.n:
+            raise IndexOutOfRange(f"vertex {i} out of range for n={self.n}")
+        # Edges are sorted by (i, j): the lower neighbours come first.
+        return np.concatenate((self.i[self.j == i], self.j[self.i == i])).tolist()
 
 
 def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     """Build a Topology from an explicit edge list.
 
     Duplicate (i, j) pairs are rejected rather than summed so that
-    scenario files stay unambiguous.
+    scenario files stay unambiguous; zero-weight edges pass the checks
+    and are then dropped. An error names the first offending edge in
+    list order.
     """
     if n < 1:
         raise TopologyError("topology needs at least one vertex")
-    w = np.zeros((n, n))
-    seen = set()
-    for i, j, wt in edges:
-        if not (0 <= i < n and 0 <= j < n):
+    edges = list(edges)
+    # Object columns keep indices of any size exact for the range check.
+    cols = np.array(edges, dtype=object).reshape(-1, 3)
+    ends = cols[:, :2]
+    in_range = ((ends >= 0) & (ends < n) & (ends % 1 == 0)).all(axis=1)
+    a, b = np.where(in_range[:, None], ends, 0).astype(np.intp).T
+    w = cols[:, 2].astype(float)
+    self_loop = in_range & (a == b)
+    # Only a repeat counts: np.unique gives the first position of each pair.
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)[1]] = False
+    bad = ~in_range | self_loop | (w < 0) | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, wt = edges[k]
+        if not in_range[k]:
             raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise SelfLoop(f"self-loop at vertex {i}")
-        if wt < 0:
+        if self_loop[k]:
+            raise SelfLoop(f"edge ({i},{j}) is a self-loop at vertex {i}")
+        if w[k] < 0:
             raise NegativeWeight(f"edge ({i},{j}) has negative weight {wt}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge ({i},{j})")
-        seen.add(key)
-        w[i, j] = w[j, i] = wt
-    return Topology(n, w)
+        raise DuplicateEdge(f"duplicate edge ({i},{j})")
+    return Topology._from_edges(n, a, b, w)
 
 
 def is_connected(t: Topology) -> bool:
     """True iff the graph induced by positive weights is connected."""
-    n = t.n
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.nonzero(t.weights[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
-    return bool(seen.all())
+    # Label every vertex with the root of its tree; roots point to
+    # themselves and every pointer goes to a smaller vertex. Each round
+    # hooks the larger root of each edge onto the smaller one, then jumps
+    # pointers to roots. A round removes at least one root, and costs
+    # O(|E| + n log n).
+    label = np.arange(t.n)
+    while True:
+        li, lj = label[t.i], label[t.j]
+        split = li != lj
+        if not split.any():
+            return not label.any()
+        label[np.maximum(li, lj)[split]] = np.minimum(li, lj)[split]
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
 
 def laplacian(t: Topology) -> np.ndarray:
@@ -109,11 +174,14 @@ def laplacian(t: Topology) -> np.ndarray:
 def exponent_transform(t: Topology, alpha: float) -> Topology:
     """Entrywise power transform b_ij = a_ij**(2/(1+alpha)).
 
-    Zero weights stay zero, so the edge set is preserved.
+    Weights that underflow to zero are dropped; a weight that overflows
+    is rejected.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
-    return Topology(t.n, t.weights ** (2.0 / (1.0 + alpha)))
+    with np.errstate(over="ignore"):
+        w = t.w ** (2.0 / (1.0 + alpha))
+    return Topology._from_edges(t.n, t.i, t.j, w)
 
 
 def path_topology(n: int, weight: float = 1.0) -> Topology:

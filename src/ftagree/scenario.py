@@ -95,16 +95,7 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            name = m.group(1)
-            if name in topo_edges:
-                raise ScenarioSyntaxError(lineno, f"duplicate topology section {name!r}")
-            topo_edges[name] = []
-            section = name
-            continue
-        if line.startswith("["):
-            raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
+        # Edge lines come first: they are nearly all of a large file.
         if section is not None and line.startswith("edge"):
             parts = line.split()
             if len(parts) != 4:
@@ -116,6 +107,16 @@ def parse_scenario(text: str) -> Scenario:
             w = _parse_float(parts[3], lineno, "edge weight")
             topo_edges[section].append((i, j, w))
             continue
+        m = _SECTION_RE.match(line)
+        if m:
+            name = m.group(1)
+            if name in topo_edges:
+                raise ScenarioSyntaxError(lineno, f"duplicate topology section {name!r}")
+            topo_edges[name] = []
+            section = name
+            continue
+        if line.startswith("["):
+            raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
         if "=" not in line:
             raise ScenarioSyntaxError(lineno, f"expected key = value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))

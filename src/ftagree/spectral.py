@@ -5,7 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedTopology, NoConvergence, NotSymmetric, NotZeroSum
+from .errors import (
+    DisconnectedTopology,
+    NoConvergence,
+    NotSymmetric,
+    NotZeroSum,
+    NumericalBlowup,
+)
 from .graph import Topology, laplacian
 
 _MAX_SWEEPS = 100
@@ -31,20 +37,22 @@ def eigenvalues_symmetric(m: np.ndarray) -> SpectrumResult:
     """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps over all off-diagonal pairs until the off-diagonal Frobenius
-    norm drops below 1e-12 of its initial value.
+    norm drops below 1e-12 of its initial value. The sweeps run on the
+    matrix scaled by a power of two to a largest entry in [0.5, 1), which
+    is exact and keeps the norms from overflowing or underflowing.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric("input must be a square matrix")
     n = m.shape[0]
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    largest = float(np.abs(m).max())
+    if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, largest):
         raise NotSymmetric("input is not symmetric within 1e-12 relative tolerance")
 
+    exp = math.frexp(largest)[1]
+    m = np.ldexp(m, -exp)
     a = (m + m.T) / 2.0
     v = np.eye(n)
-    if n == 1:
-        return SpectrumResult(np.array([a[0, 0]]), 0.0)
 
     off0 = _offdiag_norm(a)
     threshold = 1e-12 * off0
@@ -86,7 +94,11 @@ def eigenvalues_symmetric(m: np.ndarray) -> SpectrumResult:
     lam = lam[order]
     v = v[:, order]
     residual = float(np.abs(m @ v - v * lam).max())
-    return SpectrumResult(lam, residual)
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(lam, exp)
+    if not np.all(np.isfinite(lam)):
+        raise NumericalBlowup("non-finite eigenvalue: the spectrum overflows the float range")
+    return SpectrumResult(lam, math.ldexp(residual, exp))
 
 
 def algebraic_connectivity(t: Topology) -> float:

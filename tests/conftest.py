@@ -22,6 +22,27 @@ def random_connected_topology(rng, n, p=0.5, wmin=0.5, wmax=2.0):
     raise RuntimeError("failed to sample a connected graph")
 
 
+def random_edge_list(rng, n):
+    """Edge lines in random order and orientation; some have weight zero,
+    and at low density many graphs are disconnected."""
+    p = rng.uniform(0.1, 0.9)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                w = 0.0 if rng.random() < 0.2 else rng.uniform(0.5, 2.0)
+                edges.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
+def dense_weights(n, edges):
+    """The symmetric weight matrix of an edge list, one line at a time."""
+    w = np.zeros((n, n))
+    for i, j, wt in edges:
+        w[i, j] = w[j, i] = wt
+    return w
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -22,7 +22,7 @@ from ftagree import (
     algebraic_connectivity,
 )
 from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
-from conftest import random_connected_topology, random_topology
+from conftest import dense_weights, random_connected_topology, random_edge_list, random_topology
 
 X0_SIX = np.array([-5.0, -3.0, 7.0, 9.0, 4.0, 5.0])
 
@@ -69,6 +69,24 @@ class TestV1:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             v1(path_topology(3), [0.0, 1.0])
+
+    def test_matches_dense_double_sum(self, rng):
+        # Reference: a quarter of the double sum over all ordered pairs,
+        # on edge lists with zero-weight lines and disconnected graphs.
+        for n in range(1, 9):
+            for _ in range(60):
+                edges = random_edge_list(rng, n)
+                w = dense_weights(n, edges)
+                x = rng.uniform(-10, 10, n)
+                d = x[None, :] - x[:, None]
+                expected = 0.25 * (w * d * d).sum()
+                got = v1(topology_new(n, edges), x)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_half_of_an_overflowing_double_sum(self):
+        # Each edge is counted once, so a value the double sum overflows on
+        # is still finite here.
+        assert v1(topology_new(2, [(0, 1, 1e308)]), [0.0, 1.0]) == 5e307
 
 
 class TestDisagreement:

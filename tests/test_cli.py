@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftagree import parse_scenario, scenario_bounds
+from ftagree import algebraic_connectivity, parse_scenario, scenario_bounds
 from ftagree.cli import run_cli
 
 TWO_AGENT = """\
@@ -194,10 +194,12 @@ class TestRepro:
         ({"[0, 1]": "[0, 1e10]", "edge 0 1 1": "edge 0 1 1e300"}, "V1(0)"),
         ({"[0, 1]": "[0, 1, 2]", "edge 0 1 1": "edge 0 1 1e308\nedge 0 2 1e308"},
          "degree sums must be finite"),
+        # V1(0) is 5e307 and accepted; the spectrum [0, 2e308] and the run overflow.
+        ({"edge 0 1 1": "edge 0 1 1e308"}, "non-finite"),
     ],
     ids=[
         "t_max-inf", "dt-nan", "agree_tol-nan", "weight-inf", "weight-nan", "record_every-2.7",
-        "sum-overflow", "v2-overflow", "v1-overflow", "degree-overflow",
+        "sum-overflow", "v2-overflow", "v1-overflow", "degree-overflow", "spectrum-overflow",
     ],
 )
 def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, edits, named):
@@ -208,6 +210,19 @@ def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, edit
     p.write_text(text)
     assert run_cli([command, str(p)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_spectrum_of_a_weight_whose_square_overflows(tmp_path, capsys):
+    # Unscaled, the off-diagonal norm of 1e160 overflowed, Jacobi stopped
+    # before its first rotation and printed the diagonal [1e160, 1e160].
+    p = tmp_path / "huge.scn"
+    p.write_text(TWO_AGENT.replace("edge 0 1 1", "edge 0 1 1e160"))
+    assert run_cli(["spectral", str(p)]) == 0
+    low, high, _residual = printed_numbers(capsys.readouterr().out)
+    assert abs(low) <= 1e-12 * 2e160
+    assert high == pytest.approx(2e160, rel=1e-12)
+    lam2 = algebraic_connectivity(parse_scenario(p.read_text()).topologies["G"])
+    assert lam2 == pytest.approx(2e160, rel=1e-12)
 
 
 # A broken field takes one of these values. 1e308 is left out of t_max:

@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,45 @@ class TestTopologyNew:
         with pytest.raises(TopologyError):
             topology_new(0, [])
 
+    @pytest.mark.parametrize(
+        "edges, error, named",
+        [
+            ([(0, 1, 1.0), (2, 5, 1.0), (0, 7, 1.0)], IndexOutOfRange, "(2,5)"),
+            ([(0, 1, 1.0), (0, 10**400, 1.0)], IndexOutOfRange, "out of range"),
+            ([(0, 1, 1.0), (0.5, 2, 1.0)], IndexOutOfRange, "(0.5,2)"),
+            ([(0, 1, 1.0), (2, 2, 1.0), (1, 1, 1.0)], SelfLoop, "(2,2)"),
+            ([(0, 1, 1.0), (1, 2, -1.0), (0, 2, -2.0)], NegativeWeight, "(1,2)"),
+            ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 3.0), (1, 0, 1.0)], DuplicateEdge, "(1,2)"),
+            ([(0, 1, 0.0), (1, 0, 1.0)], DuplicateEdge, "(1,0)"),
+            ([(0, 1, 1.0), (2, 1, math.inf), (0, 2, math.nan)], TopologyError, "(2,1)"),
+            ([(0, 1, 1e308), (0, 2, 1e308)], TopologyError, "vertex 0"),
+            # The first bad edge decides the error, whatever follows it.
+            ([(0, 1, 1.0), (1, 0, 1.0), (0, 9, 1.0)], DuplicateEdge, "(1,0)"),
+            ([(0, 2, math.nan), (0, 1, -1.0)], NegativeWeight, "(0,1)"),
+            ([(1, 2, -1.0), (1, 1, 1.0)], NegativeWeight, "(1,2)"),
+        ],
+    )
+    def test_error_names_first_bad_edge(self, edges, error, named):
+        with pytest.raises(TopologyError) as excinfo:
+            topology_new(3, edges)
+        assert excinfo.type is error
+        assert named in str(excinfo.value)
+
+    def test_zero_weight_lines_dropped(self):
+        t = topology_new(4, [(3, 2, 1.5), (0, 1, 0.0), (1, 2, 2.0), (0, 3, -0.0)])
+        assert t.edges() == [(1, 2, 2.0), (2, 3, 1.5)]
+        np.testing.assert_array_equal(
+            t.weights, [[0, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 1.5], [0, 0, 1.5, 0]]
+        )
+
+    def test_dense_round_trip(self, rng):
+        for _ in range(50):
+            t = random_topology(rng, int(rng.integers(1, 9)))
+            again = topology_new(t.n, t.edges())
+            np.testing.assert_array_equal(again.weights, t.weights)
+            assert np.all(t.i < t.j) and np.all(t.w > 0)
+            assert np.all(np.diff(t.i * t.n + t.j) > 0)
+
     def test_immutable(self):
         t = topology_new(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -62,7 +104,51 @@ class TestTopologyNew:
             assert np.all(t.weights >= 0)
 
 
+class TestNeighbors:
+    def test_sorted(self):
+        t = topology_new(5, [(4, 2, 1.0), (2, 0, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        assert t.neighbors(2) == [0, 1, 4]
+        assert t.neighbors(4) == [2, 3]
+        assert path_topology(4).neighbors(0) == [1]
+        assert topology_new(2, []).neighbors(1) == []
+
+    def test_out_of_range(self):
+        t = path_topology(4)
+        for i in (-1, 4):
+            with pytest.raises(IndexOutOfRange):
+                t.neighbors(i)
+
+
+def connected_reference(w) -> bool:
+    """Breadth-first search over the dense weight matrix."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in np.nonzero(w[i] > 0)[0].tolist():
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(w)
+
+
 class TestIsConnected:
+    def test_matches_search(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            t = random_topology(rng, n, p=rng.uniform(0.05, 0.6))
+            outcomes.add(is_connected(t))
+            assert is_connected(t) == connected_reference(t.weights)
+        assert outcomes == {True, False}
+
+    def test_long_paths_in_any_order(self, rng):
+        for _ in range(5):
+            perm = rng.permutation(500).tolist()
+            edges = [(a, b, 1.0) for a, b in zip(perm, perm[1:])]
+            assert is_connected(topology_new(500, edges))
+            assert not is_connected(topology_new(500, edges[:250] + edges[251:]))
+
     def test_path(self):
         assert is_connected(path_topology(6))
 

@@ -7,6 +7,7 @@ from ftagree import (
     ProtocolKind,
     ProtocolSpec,
     complete_topology,
+    is_connected,
     is_equilibrium,
     laplacian,
     linear_field,
@@ -17,10 +18,62 @@ from ftagree import (
     topology_new,
 )
 from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
-from conftest import random_connected_topology
+from conftest import dense_weights, random_connected_topology, random_edge_list
 
 P3 = path_topology(3)
 EDGE = topology_new(2, [(0, 1, 1.0)])
+
+
+def dense_fields(w, x, alpha):
+    """The n-by-n formulas, as an independent reference for the edge kernel:
+    each field and the magnitude of the terms it sums."""
+    d = x[None, :] - x[:, None]
+    s = np.sign(d) * np.abs(d) ** alpha
+    lin = (w * d).sum(axis=1)
+    scale = np.abs(w * d).sum(axis=1)
+    return {
+        "p1": (np.sign(lin) * np.abs(lin) ** alpha, scale ** alpha),
+        "p2": ((w * s).sum(axis=1), np.abs(w * s).sum(axis=1)),
+        "linear": (lin, scale),
+    }
+
+
+class TestEdgeKernel:
+    def test_matches_dense_reference(self, rng):
+        disconnected = zero_lines = 0
+        for n in range(1, 9):
+            for _ in range(60):
+                edges = random_edge_list(rng, n)
+                t = topology_new(n, edges)
+                w = dense_weights(n, edges)
+                disconnected += not is_connected(t)
+                zero_lines += any(wt == 0.0 for _, _, wt in edges)
+                x = rng.uniform(-10, 10, n)
+                alpha = rng.choice([0.2, 0.5, 0.8])
+                ref = dense_fields(w, x, alpha)
+                got = {
+                    "p1": protocol1_field(t, x, alpha),
+                    "p2": protocol2_field(t, x, alpha),
+                    "linear": linear_field(t, x),
+                }
+                for kind, (expected, scale) in ref.items():
+                    np.testing.assert_allclose(
+                        got[kind], expected, rtol=1e-12, atol=1e-12 * scale.max(), err_msg=kind
+                    )
+        assert disconnected > 50 and zero_lines > 50
+
+    def test_p2_conserves_sum_on_large_sparse_graph(self, rng):
+        n = 1000
+        perm = rng.permutation(n).tolist()
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(perm, perm[1:] + perm[:1])}
+        while len(pairs) < 3 * n:
+            a, b = rng.integers(0, n, 2).tolist()
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        t = topology_new(n, [(a, b, rng.uniform(0.5, 2.0)) for a, b in sorted(pairs)])
+        for alpha in (0.2, 0.5, 0.8):
+            u = protocol2_field(t, rng.uniform(-10, 10, n), alpha)
+            assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
 
 class TestSig:
