@@ -41,10 +41,6 @@ class NotSymmetric(FtagreeError, ValueError):
     pass
 
 
-class NoConvergence(FtagreeError, RuntimeError):
-    pass
-
-
 class NotZeroSum(FtagreeError, ValueError):
     pass
 

@@ -11,19 +11,16 @@ from typing import Union
 from .engine import Trajectory
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 def trajectory_csv_text(traj: Trajectory) -> str:
     if not traj.t.size:
         raise ValueError("trajectory has no samples")
     n = traj.x.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V1,V2,spread,sum"
+    row = ",".join(["%.9g"] * (n + 5))
     lines = [header]
     tails = zip(traj.v1.tolist(), traj.v2.tolist(), traj.spread.tolist(), traj.sum.tolist())
     for t, x, tail in zip(traj.t.tolist(), traj.x, tails):
-        lines.append(",".join(map(_fmt, [t, *x.tolist(), *tail])))
+        lines.append(row % (t, *x.tolist(), *tail))
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from ftagree import (
     rayleigh_bound_check,
     topology_new,
 )
-from ftagree.errors import NotSymmetric, NotZeroSum
+from ftagree.errors import NotSymmetric, NotZeroSum, NumericalBlowup
 from conftest import random_connected_topology, random_topology
 
 
@@ -41,10 +41,15 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSymmetric):
             eigenvalues_symmetric(np.ones((2, 3)))
+        with pytest.raises(NotSymmetric):
+            eigenvalues_symmetric(np.zeros((0, 0)))
+        # Checked before any arithmetic, which would turn inf into nan.
+        with pytest.raises(NumericalBlowup):
+            eigenvalues_symmetric(np.array([[0.0, math.inf], [math.inf, 0.0]]))
 
     def test_trace_identity(self, rng):
         for _ in range(100):
-            n = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 81))
             m = rng.normal(size=(n, n))
             m = (m + m.T) / 2
             res = eigenvalues_symmetric(m)
@@ -54,10 +59,18 @@ class TestEigenvaluesSymmetric:
 
     def test_residual_small(self, rng):
         for _ in range(20):
-            m = rng.normal(size=(6, 6))
+            n = int(rng.integers(1, 81))
+            m = rng.normal(size=(n, n))
             m = (m + m.T) / 2
             res = eigenvalues_symmetric(m)
             assert res.residual <= 1e-10 * max(1.0, np.abs(m).max())
+            # The solve sees the same matrix whatever power of two scales the
+            # input, so spectrum and residual scale bit for bit. LAPACK's own
+            # scaling of entries near 1e+-180 is not a power of two.
+            for k in (600, -600):
+                scaled = eigenvalues_symmetric(np.ldexp(m, k))
+                assert np.array_equal(scaled.eigenvalues, np.ldexp(res.eigenvalues, k))
+                assert scaled.residual == math.ldexp(res.residual, k)
 
     def test_matches_characteristic_polynomial_3x3(self, rng):
         # independent oracle: roots of det(M - lam I) via numpy.roots
