@@ -67,10 +67,15 @@ def disagreement(x) -> DisagreementDecomposition:
     return DisagreementDecomposition(kappa, x - kappa)
 
 
-def v2(x) -> float:
-    """Disagreement energy: half the squared norm of x minus its mean."""
-    d = disagreement(x).delta
-    return float(0.5 * (d * d).sum())
+def v2(x):
+    """Disagreement energy: half the squared norm of x minus its mean.
+    A float for one state, an array of row values for a stack (m×n)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] < 1:
+        raise DimensionMismatch("state must be a nonempty vector or a stack of them")
+    d = x - x.mean(axis=-1, keepdims=True)
+    v = 0.5 * (d * d).sum(axis=-1)
+    return float(v) if x.ndim == 1 else v
 
 
 def _check_bound_args(v_0: float, lam2: float, alpha: Optional[float]) -> None:
@@ -167,19 +172,21 @@ def k2_constant(lambda2_B: float, alpha: float) -> float:
     return 2.0 ** alpha * lambda2_B ** ((1.0 + alpha) / 2.0)
 
 
-def envelope(v_0: float, K: float, alpha: float, t: float) -> float:
-    """Lyapunov decay envelope (v_0**q - K q t / ... ) clamped at zero.
+def envelope(v_0: float, K: float, alpha: float, t):
+    """Lyapunov decay envelope (v_0**q - K q t)**(1/q), q = (1-alpha)/2,
+    clamped at zero. A float for a float t, an array for an array of times.
 
     The base is clamped before exponentiation: the analytic bound is only
     stated before the hitting time, and clamping extends it continuously
     by zero afterwards.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
     q = (1.0 - alpha) / 2.0
-    base = v_0 ** q - K * q * t
-    if base <= 0.0:
-        return 0.0
+    base = np.maximum(v_0 ** q - K * q * t, 0.0)
+    if base.ndim == 0:
+        return float(base) ** (1.0 / q)
     return base ** (1.0 / q)

@@ -130,7 +130,8 @@ Sample = namedtuple("Sample", "t x v1 v2 spread sum")
 
 @dataclass
 class Trajectory:
-    """Recorded samples as columns: row i of x (m×n) is the state at t[i]."""
+    """Recorded samples as columns: row i of x (m×n) is the state at t[i],
+    and v1[i], v2[i], spread[i] and sum[i] are computed from that row."""
 
     t: np.ndarray
     x: np.ndarray
@@ -162,8 +163,8 @@ def topology_at(
     s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
 ) -> Topology:
     """Topology active at time t; half-open phase intervals [start, start+dwell)."""
-    if t < 0:
-        raise TimeBeyondSchedule(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise TimeBeyondSchedule(f"time must be finite and >= 0, got {t}")
     period = s.period
     if s.cyclic:
         r = math.fmod(t, period)
@@ -187,6 +188,11 @@ def integrate(sc: Scenario) -> Trajectory:
     Dwell times are integer multiples of dt, so every step sees a single
     topology and the right-continuous switching signal is discretized
     unambiguously. A fixed topology is a cyclic schedule of one phase.
+
+    The loop only advances the state: it snaps on agreement, keeps the
+    state of each recorded step and takes an RK4 step. The t, V1, V2,
+    spread and sum columns are derived from the kept rows afterwards. A
+    state that is not finite raises NumericalBlowup.
     """
     dt = sc.dt
     x = sc.x0.copy()
@@ -199,64 +205,49 @@ def integrate(sc: Scenario) -> Trajectory:
     tops = [sc.topologies[name] for name, _ in schedule.phases]
     rhss = [sc.protocol.rhs(top) for top in tops]
 
-    ts, xs, v1s, v2s, spreads, sums = [], [], [], [], [], []
-
-    def record(t, xv, spread, phase):
-        ts.append(t)
-        xs.append(xv.copy())
-        v1s.append(bounds.v1(tops[phase], xv))
-        v2s.append(bounds.v2(xv))
-        spreads.append(spread)
-        sums.append(float(xv.sum()))
-
-    status = "TimedOut"
-    converged_at = None
-    final_value = None
+    rows = []  # (step, state) for every recorded step
     half = dt / 2.0
     sixth = dt / 6.0
-    # Overflow on a diverging run is detected explicitly via the
-    # finiteness check, so numpy warnings are silenced here.
+    # A diverging run is caught by its non-finite spread (max and min pass
+    # nan and inf through), so numpy's overflow warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            t = k * dt
-            phase = step_phase[k % period_steps]
-            spread = float(x.max() - x.min())
-            if spread <= sc.agree_tol:
-                mean = float(x.mean())
-                x = np.full_like(x, mean)
-                record(t, x, 0.0, phase)
-                status = "Converged"
-                converged_at = t
-                final_value = mean
+            spread = x.max() - x.min()
+            if not math.isfinite(spread):
+                raise NumericalBlowup(f"non-finite state at t={k * dt}")
+            agreed = spread <= sc.agree_tol
+            if agreed:
+                x = np.full_like(x, x.mean())
+            last = agreed or k == n_steps
+            # RK4 and the snap rebind x and never write into it.
+            if last or k % sc.record_every == 0:
+                rows.append((k, x))
+            if last:
                 break
-            if k == n_steps:
-                if not ts or ts[-1] < t:
-                    record(t, x, spread, phase)
-                break
-            if k % sc.record_every == 0:
-                record(t, x, spread, phase)
-            f = rhss[phase]
+            f = rhss[step_phase[k % period_steps]]
             k1 = f(x)
             k2 = f(x + half * k1)
             k3 = f(x + half * k2)
             k4 = f(x + dt * k3)
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowup(f"non-finite state at t={t + dt}")
 
-    return Trajectory(
-        t=np.array(ts),
-        x=np.array(xs),
-        v1=np.array(v1s),
-        v2=np.array(v2s),
-        spread=np.array(spreads),
-        sum=np.array(sums),
-        status=status,
-        converged_at=converged_at,
-        final_value=final_value,
-        protocol=sc.protocol,
-        dt=dt,
-    )
+        ks, states = zip(*rows)
+        t = np.array(ks) * dt
+        xs = np.array(states)
+        v1 = [bounds.v1(tops[step_phase[k % period_steps]], xk) for k, xk in rows]
+        return Trajectory(
+            t=t,
+            x=xs,
+            v1=np.array(v1),
+            v2=bounds.v2(xs),
+            spread=xs.max(axis=1) - xs.min(axis=1),
+            sum=xs.sum(axis=1),
+            status="Converged" if agreed else "TimedOut",
+            converged_at=float(t[-1]) if agreed else None,
+            final_value=float(xs[-1, 0]) if agreed else None,
+            protocol=sc.protocol,
+            dt=dt,
+        )
 
 
 @dataclass(frozen=True)
@@ -284,10 +275,8 @@ def verify_envelope(
         # The larger rate of the two sample intervals next to each sample.
         rates = np.pad(np.abs(np.diff(vs) / np.diff(ts)), 1, mode="edge")
         dvdt = np.maximum(rates[:-1], rates[1:])
-    worst = -math.inf
-    for i in range(len(vs)):
-        slack = 1e-6 * v_0 + 10.0 * traj.dt * dvdt[i]
-        worst = max(worst, vs[i] - bounds.envelope(v_0, K, alpha, ts[i]) - slack)
+    slack = 1e-6 * v_0 + 10.0 * traj.dt * dvdt
+    worst = float(np.max(vs - bounds.envelope(v_0, K, alpha, ts) - slack, initial=-math.inf))
     return EnvelopeCheck(passed=worst <= 0.0, max_violation=worst)
 
 

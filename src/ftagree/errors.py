@@ -76,5 +76,3 @@ class ScenarioSyntaxError(FtagreeError, ValueError):
 class ValidationError(FtagreeError, ValueError):
     """A scenario's content is invalid (raised when a Scenario is built)."""
 
-
-ConfigError = ValidationError  # the same type under its older name

@@ -10,8 +10,13 @@ connectivity of the exponent-transformed graph.
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .graph import Topology, exponent_transform, is_connected
+from .graph import Topology, exponent_transform, is_connected, topology_new
 from .spectral import algebraic_connectivity
+
+# Match tolerances: the edge energy to roundoff, the transformed
+# connectivity to the four decimals the paper reports.
+TOL_V = 1e-9
+TOL_LAMBDA = 5e-4
 
 
 def reconstruct_paper_graph(
@@ -19,8 +24,6 @@ def reconstruct_paper_graph(
     v1_target: float,
     lambda2b_target: float,
     alpha: float,
-    tol_lambda: float = 5e-4,
-    tol_v: float = 1e-9,
     weight: float = 2.0,
 ) -> list[Topology]:
     """All connected uniform-weight graphs matching both targets.
@@ -47,18 +50,15 @@ def reconstruct_paper_graph(
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         sums = (((masks[:, None] >> shifts) & 1) @ contrib)
-        hits.extend(masks[np.abs(sums - v1_target) <= tol_v].tolist())
+        hits.extend(masks[np.abs(sums - v1_target) <= TOL_V].tolist())
 
     candidates = []
     for mask in hits:
-        w = np.zeros((n, n))
-        for b, (i, j) in enumerate(pairs):
-            if (mask >> b) & 1:
-                w[i, j] = w[j, i] = weight
-        top = Topology(n, w)
+        edges = [(i, j, weight) for b, (i, j) in enumerate(pairs) if (mask >> b) & 1]
+        top = topology_new(n, edges)
         if not is_connected(top):
             continue
         lam2b = algebraic_connectivity(exponent_transform(top, alpha))
-        if abs(lam2b - lambda2b_target) <= tol_lambda:
+        if abs(lam2b - lambda2b_target) <= TOL_LAMBDA:
             candidates.append(top)
     return candidates

@@ -46,6 +46,10 @@ REF_T1 = 11.7681
 REF_T2 = 8.1673
 REF_T3 = 11.3000
 
+# Integration settings of the three reproduced simulations.
+DT = 1e-3
+AGREE_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class ReproReport:
@@ -78,14 +82,12 @@ class ReproResult:
     traj_switching: Trajectory
 
 
-def run_repro(dt: float = 1e-3, agree_tol: float = 1e-4) -> ReproResult:
+def run_repro() -> ReproResult:
     """Recompute all reported scalars and rerun the three simulations."""
     x0 = np.array(REF_X0)
     alpha = REF_ALPHA
 
-    candidates = reconstruct_paper_graph(
-        x0, REF_V1_0, REF_LAMBDA2_B, alpha, tol_lambda=5e-4, weight=REF_WEIGHT
-    )
+    candidates = reconstruct_paper_graph(x0, REF_V1_0, REF_LAMBDA2_B, alpha, weight=REF_WEIGHT)
     if not candidates:
         raise RuntimeError("graph reconstruction found no candidate topologies")
     g1 = candidates[0]
@@ -150,7 +152,7 @@ def run_repro(dt: float = 1e-3, agree_tol: float = 1e-4) -> ReproResult:
         ),
     ]
 
-    common = dict(x0=x0, dt=dt, agree_tol=agree_tol, record_every=10)
+    common = dict(x0=x0, dt=DT, agree_tol=AGREE_TOL, record_every=10)
     traj_p1 = integrate(
         Scenario(
             protocol=ProtocolSpec(ProtocolKind.P1, alpha),

@@ -153,7 +153,7 @@ def test_criterion_2_bound_formulas():
 
 def test_criterion_3_graph_reconstruction():
     start = time.perf_counter()
-    cands = reconstruct_paper_graph(X0_SIX, 338.0, 1.0409, 0.5, tol_lambda=5e-4)
+    cands = reconstruct_paper_graph(X0_SIX, 338.0, 1.0409, 0.5)
     assert len(cands) >= 1
     for c in cands:
         assert v1(c, X0_SIX) == pytest.approx(338.0, abs=1e-9)

@@ -110,6 +110,8 @@ class TestDisagreement:
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
+        rows = np.array([X0_SIX, 5.0 * np.ones(6), X0_SIX[::-1] + 1e3])
+        assert v2(rows).tolist() == [v2(x) for x in rows]
 
     def test_constant(self):
         assert v2(5.0 * np.ones(3)) == 0.0
@@ -233,3 +235,9 @@ class TestEnvelope:
         assert all(b <= a_ + 1e-12 for a_, b in zip(vals, vals[1:]))
         assert envelope(v0, K, a, zero_at * 1.00001) == 0.0
         assert all(v >= 0 for v in vals)
+        # An array of times gives the scalar values, up to numpy's vector
+        # power (1 ulp off on a few percent of values).
+        np.testing.assert_allclose(envelope(v0, K, a, ts), vals, rtol=1e-15, atol=0)
+        assert type(vals[1]) is float
+        with pytest.raises(ValueError):
+            envelope(v0, K, a, np.array([1.0, -1e-300]))

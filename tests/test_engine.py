@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,11 @@ from ftagree import (
     verify_envelope,
 )
 from ftagree.errors import (
-    ConfigError,
     NumericalBlowup,
     ProtocolMismatch,
     TimeBeyondSchedule,
     UnknownTopologyId,
+    ValidationError,
 )
 
 EDGE = topology_new(2, [(0, 1, 1.0)])
@@ -83,6 +85,14 @@ class TestTopologyAt:
         assert topology_at(finite, tops, 0.9) is tops["D"]
         with pytest.raises(TimeBeyondSchedule):
             topology_at(finite, tops, 1.0)
+
+    @pytest.mark.parametrize("cyclic", [True, False], ids=["cyclic", "non-cyclic"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, cyclic, t):
+        sched, tops = self.make()
+        sched = SwitchingSchedule(phases=sched.phases, cyclic=cyclic)
+        with pytest.raises(TimeBeyondSchedule):
+            topology_at(sched, tops, t)
 
     def test_unknown_topology(self):
         sched = SwitchingSchedule(phases=(("Z", 1.0),), cyclic=True)
@@ -215,17 +225,17 @@ class TestIntegrate:
         )
         traj = integrate(sc)
         names = []
-        for t, x, recorded in zip(traj.t, traj.x, traj.v1):
+        for t, x, *recorded in zip(traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum):
             top = topology_at(sc.schedule, tops, t)
             names.append(next(name for name in tops if tops[name] is top))
-            assert recorded == v1(top, x)
+            assert recorded == [v1(top, x), v2(x), x.max() - x.min(), x.sum()]
         # Phase A holds exactly round(0.05 / dt) steps before the first switch.
         assert names.index("B") == round(0.05 / dt)
 
     @pytest.mark.parametrize("t_max", [0.08, 1.0], ids=["ends-at-t_max", "ends-before"])
     def test_non_cyclic_schedule_must_outlast_t_max(self, t_max):
         sched = SwitchingSchedule(phases=(("G", 0.05), ("G", 0.03)), cyclic=False)
-        with pytest.raises(ConfigError, match="non-cyclic schedule"):
+        with pytest.raises(ValidationError, match="non-cyclic schedule"):
             two_agent_scenario(topology=None, schedule=sched, dt=0.01, t_max=t_max)
         two_agent_scenario(topology=None, schedule=sched, dt=0.01, t_max=0.07)
 
@@ -240,14 +250,14 @@ class TestIntegrate:
             integrate(sc)
 
     def test_config_errors(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             integrate(two_agent_scenario(dt=-1.0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             integrate(two_agent_scenario(x0=[0.0, 1.0, 2.0]))  # dim mismatch
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             integrate(two_agent_scenario(topology="missing"))
         sched = SwitchingSchedule(phases=(("G", 0.0015),), cyclic=True)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             integrate(two_agent_scenario(topology=None, schedule=sched, dt=1e-3))
 
 

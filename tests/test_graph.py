@@ -76,6 +76,25 @@ class TestTopologyNew:
         assert excinfo.type is error
         assert named in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "n, weights, error, message",
+        [
+            (2, np.zeros((2, 3)), TopologyError, "weight matrix must be 2x2"),
+            (2, [[0, 1], [2, 0]], TopologyError, "weight matrix must be symmetric"),
+            (2, [[0, math.nan], [math.nan, 0]], TopologyError, "weights must be finite"),
+            (2, [[1, 1], [1, 0]], TopologyError, "diagonal weights must be zero"),
+            (2, [[0, -1], [-1, 0]], NegativeWeight, "weights must be nonnegative"),
+            (3, [[0, 1e308, 1e308], [1e308, 0, 0], [1e308, 0, 0]], TopologyError, "vertex 0"),
+            (0, np.zeros((0, 0)), TopologyError, "topology needs at least one vertex"),
+        ],
+        ids=["shape", "asymmetric", "nan", "diagonal", "negative", "degree-overflow", "empty"],
+    )
+    def test_dense_errors(self, n, weights, error, message):
+        with pytest.raises(TopologyError) as excinfo:
+            Topology(n, weights)
+        assert excinfo.type is error
+        assert message in str(excinfo.value)
+
     def test_zero_weight_lines_dropped(self):
         t = topology_new(4, [(3, 2, 1.5), (0, 1, 0.0), (1, 2, 2.0), (0, 3, -0.0)])
         assert t.edges() == [(1, 2, 2.0), (2, 3, 1.5)]
