@@ -28,6 +28,7 @@ from .engine import (
     Trajectory,
     conservation_drift,
     integrate,
+    integrate_batch,
     topology_at,
     verify_envelope,
 )

@@ -139,10 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so every call shares this one.
+_PARSER = build_parser()
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:

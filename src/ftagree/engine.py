@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Topology
-from .protocols import ProtocolKind, ProtocolSpec
+from .protocols import ProtocolKind, ProtocolSpec, edge_field
 
 
 @dataclass(frozen=True)
@@ -183,58 +183,92 @@ def topology_at(
 
 
 def integrate(sc: Scenario) -> Trajectory:
-    """Run the scenario to agreement or t_max with classical RK4.
+    """Run the scenario to agreement or t_max with classical RK4; a batch
+    of one (see integrate_batch)."""
+    return integrate_batch([sc])[0]
+
+
+def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
+    """Run each scenario to agreement or t_max with classical RK4; the
+    trajectories come back in input order.
 
     Dwell times are integer multiples of dt, so every step sees a single
     topology and the right-continuous switching signal is discretized
     unambiguously. A fixed topology is a cyclic schedule of one phase.
 
-    The loop only advances the state: it snaps on agreement, keeps the
-    state of each recorded step and takes an RK4 step. The t, V1, V2,
-    spread and sum columns are derived from the kept rows afterwards. A
-    state that is not finite raises NumericalBlowup.
+    Scenarios that share alpha and dt run in one RK4 loop (so the power
+    keeps the scalar exponent of a run alone) on the disjoint union of
+    their graphs: each run owns a block of the union state, and
+    the union edge list holds the edges of every topology the run's
+    schedule names, offset into its block. Only the edges of each running
+    run's current phase are active, so a run that agrees or times out gets
+    an exact zero field and its block stays frozen. np.bincount adds a
+    vertex's edge terms in the same order as in the run alone, so every
+    trajectory equals the one-at-a-time run's bit for bit.
+
+    The loop only advances the state: on agreement a run snaps a copy of
+    its block to the block mean, and it keeps a copy of its block at each
+    step it records. The t, V1, V2, spread and sum columns are derived
+    from the kept rows afterwards. A running run whose state is not finite
+    raises NumericalBlowup.
     """
-    dt = sc.dt
-    x = sc.x0.copy()
-    schedule = sc.schedule or SwitchingSchedule(((sc.topology, dt),))
-    n_steps = int(round(sc.t_max / dt))
-    # Phase of each step over one period (or over the whole run, if shorter).
-    ends = list(accumulate(round(d / dt) for _, d in schedule.phases))
-    period_steps = ends[-1]
-    step_phase = _phase_index(ends, np.arange(min(period_steps, n_steps + 1))).tolist()
-    tops = [sc.topologies[name] for name, _ in schedule.phases]
-    rhss = [sc.protocol.rhs(top) for top in tops]
+    groups: Dict[Tuple[float, float], list[_Run]] = {}
+    runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
+    for run in runs:
+        groups.setdefault((run.sc.protocol.alpha, run.sc.dt), []).append(run)
+    for (alpha, dt), group in groups.items():
+        _run_union(group, alpha, dt, named=len(runs) > 1)
+    return [run.trajectory() for run in runs]
 
-    rows = []  # (step, state) for every recorded step
-    half = dt / 2.0
-    sixth = dt / 6.0
-    # A diverging run is caught by its non-finite spread (max and min pass
-    # nan and inf through), so numpy's overflow warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            spread = x.max() - x.min()
-            if not math.isfinite(spread):
-                raise NumericalBlowup(f"non-finite state at t={k * dt}")
-            agreed = spread <= sc.agree_tol
-            if agreed:
-                x = np.full_like(x, x.mean())
-            last = agreed or k == n_steps
-            # RK4 and the snap rebind x and never write into it.
-            if last or k % sc.record_every == 0:
-                rows.append((k, x))
-            if last:
-                break
-            f = rhss[step_phase[k % period_steps]]
-            k1 = f(x)
-            k2 = f(x + half * k1)
-            k3 = f(x + half * k2)
-            k4 = f(x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
-        ks, states = zip(*rows)
-        t = np.array(ks) * dt
+class _Run:
+    """One scenario of a batch: its phases, its union block x[lo:hi] and
+    union edge spans, its next events and the rows it has kept."""
+
+    def __init__(self, sc: Scenario, index: int):
+        self.sc = sc
+        self.index = index  # position in the caller's list
+        self.kind = sc.protocol.kind
+        schedule = sc.schedule or SwitchingSchedule(((sc.topology, sc.dt),))
+        self.names = [name for name, _ in schedule.phases]
+        # Phase i holds steps [ends[i-1], ends[i]) of each period.
+        self.ends = list(accumulate(round(d / sc.dt) for _, d in schedule.phases))
+        self.steps = int(round(sc.t_max / sc.dt))
+        self.phase = 0
+        self.next_switch = self.ends[0] if len(self.ends) > 1 else math.inf
+        self.next_event = 0  # step 0 is recorded
+        self.rows = []  # (step, state) for every recorded step
+        self.agreed = self.done = False
+
+    def phase_at(self, k):
+        """Phase of step k; elementwise on an array of steps."""
+        return _phase_index(self.ends, k % self.ends[-1])
+
+    def step(self, k: int, x: np.ndarray, agreed: bool) -> None:
+        """Snap, record, end or switch phase at step k, as due."""
+        block = x[self.lo:self.hi]
+        self.agreed = agreed
+        self.done = agreed or k == self.steps
+        if agreed:
+            self.rows.append((k, np.full(block.size, block.mean())))
+        elif self.done or k % self.sc.record_every == 0:
+            self.rows.append((k, block.copy()))
+        if self.done:
+            return
+        if k == self.next_switch:
+            self.phase = int(self.phase_at(k))
+            self.next_switch = k - k % self.ends[-1] + self.ends[self.phase]
+        every = self.sc.record_every
+        self.next_event = min(k - k % every + every, self.steps, self.next_switch)
+
+    def trajectory(self) -> Trajectory:
+        sc = self.sc
+        ks, states = zip(*self.rows)
+        t = np.array(ks) * sc.dt
         xs = np.array(states)
-        v1 = [bounds.v1(tops[step_phase[k % period_steps]], xk) for k, xk in rows]
+        tops = [sc.topologies[name] for name in self.names]
+        v1 = [bounds.v1(tops[p], xk) for p, xk in zip(self.phase_at(np.array(ks)), states)]
+        agreed = self.agreed
         return Trajectory(
             t=t,
             x=xs,
@@ -246,8 +280,86 @@ def integrate(sc: Scenario) -> Trajectory:
             converged_at=float(t[-1]) if agreed else None,
             final_value=float(xs[-1, 0]) if agreed else None,
             protocol=sc.protocol,
-            dt=dt,
+            dt=sc.dt,
         )
+
+
+def _run_union(runs: list[_Run], alpha: float, dt: float, named: bool) -> None:
+    """Advance runs that share alpha and dt in one RK4 loop until each has
+    agreed or timed out; named puts the run's index in a blowup message."""
+    # Each run's block, and the edges of each topology it names (once,
+    # even where its schedule repeats a phase), offset into that block.
+    parts = []  # (i, j, w, is P2) of each such topology
+    lo = e = 0
+    for pos, run in enumerate(runs):
+        run.pos, run.lo = pos, lo
+        lo = run.hi = lo + run.sc.x0.size
+        spans = {}
+        for name in dict.fromkeys(run.names):
+            top = run.sc.topologies[name]
+            spans[name] = slice(e, e + top.w.size)
+            e += top.w.size
+            parts.append((top.i + run.lo, top.j + run.lo, top.w,
+                          np.full(top.w.size, run.kind is ProtocolKind.P2)))
+        run.spans = [spans[name] for name in run.names]
+    ui, uj, uw, p2_edges = map(np.concatenate, zip(*parts))
+    p1_vertices = np.concatenate(
+        [np.full(run.hi - run.lo, run.kind is ProtocolKind.P1) for run in runs]
+    )
+    x = np.concatenate([run.sc.x0 for run in runs])
+    starts = np.array([run.lo for run in runs])
+    tol = np.array([run.sc.agree_tol for run in runs])
+    live, f, next_event = runs, None, 0
+
+    half = dt / 2.0
+    sixth = dt / 6.0
+    # A diverging run is caught by its non-finite spread (max and min pass
+    # nan and inf through), so numpy's overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max(run.steps for run in runs) + 1):
+            spread = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+            if not math.isfinite(spread.max()):
+                # Ended blocks are frozen and finite.
+                r = runs[int(np.argmin(np.isfinite(spread)))].index
+                raise NumericalBlowup(
+                    f"non-finite state at t={k * dt}" + (f" in run {r}" if named else "")
+                )
+            agreed = spread <= tol
+            if k == next_event or agreed.any():
+                hit = agreed.tolist()
+                changed = f is None
+                for run in live:
+                    if hit[run.pos] or k == run.next_event:
+                        changed |= k == run.next_switch
+                        run.step(k, x, hit[run.pos])
+                        if run.done:
+                            tol[run.pos] = -math.inf
+                            changed = True
+                if changed:
+                    live = [run for run in live if not run.done]
+                    if not live:
+                        break
+                    active = np.zeros(ui.size, dtype=bool)
+                    for run in live:
+                        active[run.spans[run.phase]] = True
+                    on = np.flatnonzero(active)
+                    f = edge_field(
+                        ui[on], uj[on], uw[on], x.size, alpha,
+                        sig_edges=_selector([r.kind is ProtocolKind.P2 for r in live], p2_edges[on]),
+                        sig_vertices=_selector([r.kind is ProtocolKind.P1 for r in live], p1_vertices),
+                    )
+                next_event = min(run.next_event for run in live)
+            k1 = f(x)
+            k2 = f(x + half * k1)
+            k3 = f(x + half * k2)
+            k4 = f(x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _selector(flags: list[bool], mask: np.ndarray):
+    """True or False when the running runs' flags all agree, else the mask
+    that tells their edges or vertices apart."""
+    return flags[0] if len(set(flags)) == 1 else mask
 
 
 @dataclass(frozen=True)

@@ -45,31 +45,45 @@ class ProtocolSpec:
         """The vector field x -> u on t, with t's edge arrays bound once.
 
         The returned map checks nothing: x must be a float vector of
-        length t.n. This is the only place the formulas are written.
+        length t.n.
         """
-        i, j, w, n = t.i, t.j, t.w, t.n
-        alpha = self.alpha
+        return edge_field(
+            t.i, t.j, t.w, t.n, self.alpha,
+            sig_edges=self.kind is ProtocolKind.P2,
+            sig_vertices=self.kind is ProtocolKind.P1,
+        )
 
-        def edge_sum(f):
-            # Edge (i, j) adds f to u_i and -f to u_j: the pair is exactly
-            # antisymmetric, so P2 and linear conserve the sum to roundoff,
-            # and a constant state (f = 0 on every edge) gives an exact zero.
-            return np.bincount(i, f, n) - np.bincount(j, f, n)
 
-        if self.kind is ProtocolKind.P1:
-            def u(x):
-                return _sig(edge_sum(w * (x[j] - x[i])), alpha)
-        elif self.kind is ProtocolKind.P2:
-            def u(x):
-                return edge_sum(w * _sig(x[j] - x[i], alpha))
-        else:
-            def u(x):
-                return edge_sum(w * (x[j] - x[i]))
-        return u
+def edge_field(i, j, w, n, alpha, sig_edges, sig_vertices):
+    """The vector field x -> u of the edge list (i, j, w) on n vertices.
+
+    This is the only place the formulas are written. Edge (i, j) adds
+    f = w * d to u_i and -f to u_j, where d = x_j - x_i, or sig(d) on the
+    edges that sig_edges selects (P2). sig is then applied to u on the
+    vertices that sig_vertices selects (P1). Each selector is True (all),
+    False (none) or a boolean mask, for an edge list that mixes P1 and
+    P2 runs. The map checks nothing.
+    """
+
+    def u(x):
+        f = w * _sig_on(sig_edges, x[j] - x[i], alpha)
+        # The pair is exactly antisymmetric, so P2 and linear conserve the
+        # sum to roundoff, and a constant state gives an exact zero.
+        return _sig_on(sig_vertices, np.bincount(i, f, n) - np.bincount(j, f, n), alpha)
+
+    return u
 
 
 def _sig(r: np.ndarray, alpha: float) -> np.ndarray:
-    return np.sign(r) * np.abs(r) ** alpha
+    return np.copysign(np.abs(r) ** alpha, r)
+
+
+def _sig_on(mask, r: np.ndarray, alpha: float) -> np.ndarray:
+    """sig(r) where mask selects (True: everywhere, False: nowhere)."""
+    if mask is False:
+        return r
+    s = _sig(r, alpha)
+    return s if mask is True else np.where(mask, s, r)
 
 
 def sig(r, alpha: float):

@@ -32,6 +32,7 @@ from ftagree import (
     eigenvalues_symmetric,
     exponent_transform,
     integrate,
+    integrate_batch,
     is_connected,
     k1_constant,
     k2_constant,
@@ -77,7 +78,7 @@ class FuzzRun:
 def fuzz_corpus():
     rng = np.random.default_rng(987654321)
     alphas = [0.2, 0.5, 0.8]
-    runs = []
+    runs, scenarios = [], []
     for k in range(200):
         alpha = alphas[k % 3]
         n = int(rng.integers(3, 7))
@@ -98,14 +99,14 @@ def fuzz_corpus():
             agree_tol=tol,
             record_every=10,
         )
-        traj_p1 = integrate(
+        scenarios.append(
             Scenario(
                 protocol=ProtocolSpec(ProtocolKind.P1, alpha),
                 t_max=1.1 * bound1 + 1.0,
                 **common,
             )
         )
-        traj_p2 = integrate(
+        scenarios.append(
             Scenario(
                 protocol=ProtocolSpec(ProtocolKind.P2, alpha),
                 t_max=1.1 * bound2 + 1.0,
@@ -113,9 +114,13 @@ def fuzz_corpus():
             )
         )
         runs.append(
-            FuzzRun(t, alpha, x0, tol, traj_p1, traj_p2,
+            FuzzRun(t, alpha, x0, tol, None, None,
                     bound1, bound2, v1_0, v2_0, lam2_a, lam2_b)
         )
+    # One batch; its runs equal one-at-a-time integrate calls bit for bit.
+    trajs = integrate_batch(scenarios)
+    for run, traj_p1, traj_p2 in zip(runs, trajs[0::2], trajs[1::2]):
+        run.traj_p1, run.traj_p2 = traj_p1, traj_p2
     return runs
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ftagree import (
     cycle_topology,
     exponent_transform,
     integrate,
+    integrate_batch,
     k1_constant,
     k2_constant,
     path_topology,
@@ -24,6 +26,7 @@ from ftagree import (
     v2,
     verify_envelope,
 )
+from conftest import random_topology
 from ftagree.errors import (
     NumericalBlowup,
     ProtocolMismatch,
@@ -259,6 +262,155 @@ class TestIntegrate:
         sched = SwitchingSchedule(phases=(("G", 0.0015),), cyclic=True)
         with pytest.raises(ValidationError):
             integrate(two_agent_scenario(topology=None, schedule=sched, dt=1e-3))
+
+
+COLUMNS = ("t", "x", "v1", "v2", "spread", "sum")
+
+
+def reference_field(spec, top):
+    """The field as the one-at-a-time engine wrote it."""
+    i, j, w, n, alpha = top.i, top.j, top.w, top.n, spec.alpha
+
+    def sig(r):
+        return np.sign(r) * np.abs(r) ** alpha
+
+    def edge_sum(f):
+        return np.bincount(i, f, n) - np.bincount(j, f, n)
+
+    if spec.kind is ProtocolKind.P1:
+        return lambda x: sig(edge_sum(w * (x[j] - x[i])))
+    if spec.kind is ProtocolKind.P2:
+        return lambda x: edge_sum(w * sig(x[j] - x[i]))
+    return lambda x: edge_sum(w * (x[j] - x[i]))
+
+
+def reference_integrate(sc):
+    """The serial RK4 loop, one scenario at a time: the batch's oracle."""
+    dt = sc.dt
+    schedule = sc.schedule or SwitchingSchedule(((sc.topology, dt),))
+    ends = list(accumulate(round(d / dt) for _, d in schedule.phases))
+    tops = [sc.topologies[name] for name, _ in schedule.phases]
+    fields = [reference_field(sc.protocol, top) for top in tops]
+
+    def phase(k):
+        return int(np.searchsorted(ends, k % ends[-1], side="right")) % len(ends)
+
+    n_steps = int(round(sc.t_max / dt))
+    x, rows = sc.x0.copy(), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            spread = x.max() - x.min()
+            if not math.isfinite(spread):
+                raise NumericalBlowup(f"non-finite state at t={k * dt}")
+            agreed = spread <= sc.agree_tol
+            if agreed:
+                x = np.full_like(x, x.mean())
+            last = agreed or k == n_steps
+            if last or k % sc.record_every == 0:
+                rows.append((k, x))
+            if last:
+                break
+            f = fields[phase(k)]
+            k1 = f(x)
+            k2 = f(x + dt / 2.0 * k1)
+            k3 = f(x + dt / 2.0 * k2)
+            k4 = f(x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    t = np.array([k for k, _ in rows]) * dt
+    xs = np.array([xk for _, xk in rows])
+    return dict(
+        t=t,
+        x=xs,
+        v1=np.array([v1(tops[phase(k)], xk) for k, xk in rows]),
+        v2=v2(xs),
+        spread=xs.max(axis=1) - xs.min(axis=1),
+        sum=xs.sum(axis=1),
+        status="Converged" if agreed else "TimedOut",
+        converged_at=float(t[-1]) if agreed else None,
+        final_value=float(xs[-1, 0]) if agreed else None,
+    )
+
+
+def assert_bytes_equal(traj, ref):
+    for column in COLUMNS:
+        got, want = getattr(traj, column), ref[column]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), column
+        assert got.tobytes() == want.tobytes(), column
+    assert (traj.status, traj.converged_at, traj.final_value) == (
+        ref["status"], ref["converged_at"], ref["final_value"]
+    )
+
+
+def mixed_corpus(seed=20261019):
+    """P1, P2 and linear runs on n = 1..8 vertices, with fixed topologies
+    and cyclic and non-cyclic schedules, two alphas and two step sizes,
+    and per-run agree_tol, t_max and record_every."""
+    rng = np.random.default_rng(seed)
+    kinds = [ProtocolKind.P1, ProtocolKind.P2, ProtocolKind.LINEAR]
+    scenarios = []
+    for r in range(30):
+        n = 1 + r % 8
+        kind = kinds[r % 3]
+        # P1 and P2 runs share each (alpha, dt) pair.
+        alpha = 1.0 if kind is ProtocolKind.LINEAR else (0.5, 0.7)[r % 2]
+        dt = (1e-2, 5e-3)[(r // 2) % 2]
+        t_max = float(rng.uniform(0.5, 3.0))
+        tops = {name: random_topology(rng, n, p=0.7) for name in "ABC"}
+        def dwell():
+            return dt * int(rng.integers(1, 25))
+
+        layout = r % 4
+        if layout == 0:
+            timing = dict(topology="A")
+        elif layout == 1:
+            timing = dict(schedule=SwitchingSchedule(
+                (("A", dwell()), ("B", dwell()), ("C", dwell())), cyclic=True))
+        elif layout == 2:  # repeats phase A
+            timing = dict(schedule=SwitchingSchedule(
+                (("A", dwell()), ("B", dwell()), ("A", dwell())), cyclic=True))
+        else:
+            timing = dict(schedule=SwitchingSchedule(
+                (("B", dwell()), ("A", dt * round(t_max / dt + 5))), cyclic=False))
+        scenarios.append(Scenario(
+            protocol=ProtocolSpec(kind, alpha),
+            topologies=tops,
+            x0=rng.uniform(-5, 5, n),
+            dt=dt,
+            t_max=t_max,
+            agree_tol=float(10.0 ** rng.uniform(-4, -1)),
+            record_every=int(rng.integers(1, 12)),
+            **timing,
+        ))
+    # One run agrees at step 0, and one times out at its t_max.
+    scenarios.append(two_agent_scenario(x0=[3.0, 3.0], record_every=7))
+    scenarios.append(two_agent_scenario(P1_HALF, t_max=0.2, record_every=3))
+    return scenarios
+
+
+class TestIntegrateBatch:
+    def test_batch_and_single_runs_match_the_serial_loop(self):
+        scenarios = mixed_corpus()
+        refs = [reference_integrate(sc) for sc in scenarios]
+        statuses = {ref["status"] for ref in refs}
+        assert statuses == {"Converged", "TimedOut"}
+        assert refs[-2]["converged_at"] == 0.0 and refs[-1]["status"] == "TimedOut"
+        for traj, ref in zip(integrate_batch(scenarios), refs):
+            assert_bytes_equal(traj, ref)
+        for sc, ref in zip(scenarios, refs):
+            assert_bytes_equal(integrate(sc), ref)
+
+    def test_blowup_names_the_diverging_run(self):
+        linear = ProtocolSpec(ProtocolKind.LINEAR)
+        scenarios = [
+            two_agent_scenario(),
+            two_agent_scenario(linear, dt=10.0, t_max=1e4, x0=[2.0, 2.0]),
+            two_agent_scenario(linear, dt=10.0, t_max=1e4),
+        ]
+        with pytest.raises(NumericalBlowup, match=r"in run 2$"):
+            integrate_batch(scenarios)
+
+    def test_empty_batch(self):
+        assert integrate_batch([]) == []
 
 
 class TestLyapunovChecks:
