@@ -196,28 +196,28 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     topology and the right-continuous switching signal is discretized
     unambiguously. A fixed topology is a cyclic schedule of one phase.
 
-    Scenarios that share alpha and dt run in one RK4 loop (so the power
-    keeps the scalar exponent of a run alone) on the disjoint union of
-    their graphs: each run owns a block of the union state, and
-    the union edge list holds the edges of every topology the run's
-    schedule names, offset into its block. Only the edges of each running
-    run's current phase are active, so a run that agrees or times out gets
-    an exact zero field and its block stays frozen. np.bincount adds a
-    vertex's edge terms in the same order as in the run alone, so every
-    trajectory equals the one-at-a-time run's bit for bit.
+    Scenarios that share their protocol (kind and alpha) and dt run in
+    one RK4 loop on the disjoint union of their graphs: each run owns a
+    block of the union state, and the union edge list holds the edges of
+    every topology the run's schedule names, offset into its block. Only
+    the edges of each running run's current phase are active, so a run
+    that agrees or times out gets an exact zero field and its block stays
+    frozen. np.bincount adds a vertex's edge terms in the same order as in
+    the run alone, so every trajectory equals the one-at-a-time run's bit
+    for bit.
 
     The loop only advances the state: on agreement a run snaps a copy of
     its block to the block mean, and it keeps a copy of its block at each
     step it records. The t, V1, V2, spread and sum columns are derived
     from the kept rows afterwards. A running run whose state is not finite
-    raises NumericalBlowup.
+    raises NumericalBlowup naming its index.
     """
-    groups: Dict[Tuple[float, float], list[_Run]] = {}
+    groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
     for run in runs:
-        groups.setdefault((run.sc.protocol.alpha, run.sc.dt), []).append(run)
-    for (alpha, dt), group in groups.items():
-        _run_union(group, alpha, dt, named=len(runs) > 1)
+        groups.setdefault((run.sc.protocol, run.sc.dt), []).append(run)
+    for (protocol, dt), group in groups.items():
+        _run_union(group, protocol, dt)
     return [run.trajectory() for run in runs]
 
 
@@ -228,7 +228,6 @@ class _Run:
     def __init__(self, sc: Scenario, index: int):
         self.sc = sc
         self.index = index  # position in the caller's list
-        self.kind = sc.protocol.kind
         schedule = sc.schedule or SwitchingSchedule(((sc.topology, sc.dt),))
         self.names = [name for name, _ in schedule.phases]
         # Phase i holds steps [ends[i-1], ends[i]) of each period.
@@ -284,12 +283,12 @@ class _Run:
         )
 
 
-def _run_union(runs: list[_Run], alpha: float, dt: float, named: bool) -> None:
-    """Advance runs that share alpha and dt in one RK4 loop until each has
-    agreed or timed out; named puts the run's index in a blowup message."""
+def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
+    """Advance runs that share protocol and dt in one RK4 loop until each
+    has agreed or timed out."""
     # Each run's block, and the edges of each topology it names (once,
     # even where its schedule repeats a phase), offset into that block.
-    parts = []  # (i, j, w, is P2) of each such topology
+    parts = []  # (i, j, w) of each such topology
     lo = e = 0
     for pos, run in enumerate(runs):
         run.pos, run.lo = pos, lo
@@ -299,13 +298,9 @@ def _run_union(runs: list[_Run], alpha: float, dt: float, named: bool) -> None:
             top = run.sc.topologies[name]
             spans[name] = slice(e, e + top.w.size)
             e += top.w.size
-            parts.append((top.i + run.lo, top.j + run.lo, top.w,
-                          np.full(top.w.size, run.kind is ProtocolKind.P2)))
+            parts.append((top.i + run.lo, top.j + run.lo, top.w))
         run.spans = [spans[name] for name in run.names]
-    ui, uj, uw, p2_edges = map(np.concatenate, zip(*parts))
-    p1_vertices = np.concatenate(
-        [np.full(run.hi - run.lo, run.kind is ProtocolKind.P1) for run in runs]
-    )
+    ui, uj, uw = map(np.concatenate, zip(*parts))
     x = np.concatenate([run.sc.x0 for run in runs])
     starts = np.array([run.lo for run in runs])
     tol = np.array([run.sc.agree_tol for run in runs])
@@ -318,15 +313,12 @@ def _run_union(runs: list[_Run], alpha: float, dt: float, named: bool) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max(run.steps for run in runs) + 1):
             spread = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
-            if not math.isfinite(spread.max()):
+            if not math.isfinite(np.maximum.reduce(spread)):
                 # Ended blocks are frozen and finite.
                 r = runs[int(np.argmin(np.isfinite(spread)))].index
-                raise NumericalBlowup(
-                    f"non-finite state at t={k * dt}" + (f" in run {r}" if named else "")
-                )
-            agreed = spread <= tol
-            if k == next_event or agreed.any():
-                hit = agreed.tolist()
+                raise NumericalBlowup(f"non-finite state at t={k * dt} in run {r}")
+            hit = (spread <= tol).tolist()
+            if k == next_event or True in hit:
                 changed = f is None
                 for run in live:
                     if hit[run.pos] or k == run.next_event:
@@ -343,23 +335,13 @@ def _run_union(runs: list[_Run], alpha: float, dt: float, named: bool) -> None:
                     for run in live:
                         active[run.spans[run.phase]] = True
                     on = np.flatnonzero(active)
-                    f = edge_field(
-                        ui[on], uj[on], uw[on], x.size, alpha,
-                        sig_edges=_selector([r.kind is ProtocolKind.P2 for r in live], p2_edges[on]),
-                        sig_vertices=_selector([r.kind is ProtocolKind.P1 for r in live], p1_vertices),
-                    )
+                    f = edge_field(protocol, ui[on], uj[on], uw[on], x.size)
                 next_event = min(run.next_event for run in live)
             k1 = f(x)
             k2 = f(x + half * k1)
             k3 = f(x + half * k2)
             k4 = f(x + dt * k3)
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _selector(flags: list[bool], mask: np.ndarray):
-    """True or False when the running runs' flags all agree, else the mask
-    that tells their edges or vertices apart."""
-    return flags[0] if len(set(flags)) == 1 else mask
 
 
 @dataclass(frozen=True)

@@ -47,43 +47,37 @@ class ProtocolSpec:
         The returned map checks nothing: x must be a float vector of
         length t.n.
         """
-        return edge_field(
-            t.i, t.j, t.w, t.n, self.alpha,
-            sig_edges=self.kind is ProtocolKind.P2,
-            sig_vertices=self.kind is ProtocolKind.P1,
-        )
+        return edge_field(self, t.i, t.j, t.w, t.n)
 
 
-def edge_field(i, j, w, n, alpha, sig_edges, sig_vertices):
-    """The vector field x -> u of the edge list (i, j, w) on n vertices.
+def edge_field(spec: ProtocolSpec, i, j, w, n):
+    """The vector field x -> u of protocol spec on the edge list (i, j, w)
+    of n vertices.
 
     This is the only place the formulas are written. Edge (i, j) adds
-    f = w * d to u_i and -f to u_j, where d = x_j - x_i, or sig(d) on the
-    edges that sig_edges selects (P2). sig is then applied to u on the
-    vertices that sig_vertices selects (P1). Each selector is True (all),
-    False (none) or a boolean mask, for an edge list that mixes P1 and
-    P2 runs. The map checks nothing.
+    f = w * d to u_i and -f to u_j, where d = x_j - x_i, or sig(d) under
+    P2. Under P1, sig is then applied to u. The map checks nothing.
     """
+    alpha = spec.alpha
+    sig_edges = spec.kind is ProtocolKind.P2
+    sig_vertices = spec.kind is ProtocolKind.P1
+    # RK4 calls u four times a step, on small arrays, so u looks up no
+    # globals and calls no helpers; sig is written out as in sig below.
+    bincount, copysign, absolute = np.bincount, np.copysign, np.abs
 
     def u(x):
-        f = w * _sig_on(sig_edges, x[j] - x[i], alpha)
+        d = x[j] - x[i]
+        if sig_edges:
+            d = copysign(absolute(d) ** alpha, d)
+        f = w * d
         # The pair is exactly antisymmetric, so P2 and linear conserve the
         # sum to roundoff, and a constant state gives an exact zero.
-        return _sig_on(sig_vertices, np.bincount(i, f, n) - np.bincount(j, f, n), alpha)
+        s = bincount(i, f, n) - bincount(j, f, n)
+        if sig_vertices:
+            s = copysign(absolute(s) ** alpha, s)
+        return s
 
     return u
-
-
-def _sig(r: np.ndarray, alpha: float) -> np.ndarray:
-    return np.copysign(np.abs(r) ** alpha, r)
-
-
-def _sig_on(mask, r: np.ndarray, alpha: float) -> np.ndarray:
-    """sig(r) where mask selects (True: everywhere, False: nowhere)."""
-    if mask is False:
-        return r
-    s = _sig(r, alpha)
-    return s if mask is True else np.where(mask, s, r)
 
 
 def sig(r, alpha: float):
@@ -95,7 +89,8 @@ def sig(r, alpha: float):
     """
     if not 0.0 < alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1], got {alpha}")
-    out = _sig(np.asarray(r, dtype=float), alpha)
+    r = np.asarray(r, dtype=float)
+    out = np.copysign(np.abs(r) ** alpha, r)
     return out if out.ndim else float(out)
 
 

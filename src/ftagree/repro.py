@@ -6,7 +6,7 @@ the four interaction graphs it used were never published. This module
 reconstructs candidate graphs for the fixed-topology experiment by
 exhaustive search against the reported edge energy (338) and transformed
 algebraic connectivity (1.0409), then recomputes every reported scalar
-and reruns the simulations on the first candidate, as one batch.
+and reruns the simulations on the first candidate.
 
 For the switching experiment only the minimum connectivity over the
 schedule is pinned by the reported bound; it matches the weight-2 path
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .engine import Scenario, SwitchingSchedule, Trajectory, integrate_batch
-from .engine import integrate  # noqa: F401  perfbench/test_perfbench.py reads repro.integrate
+from .engine import Scenario, SwitchingSchedule, Trajectory, integrate
 from .graph import (
     Topology,
     complete_topology,
@@ -154,22 +153,37 @@ def run_repro() -> ReproResult:
     ]
 
     common = dict(x0=x0, dt=DT, agree_tol=AGREE_TOL, record_every=10)
-    fixed = dict(topologies={"G1": g1}, topology="G1", **common)
+    traj_p1 = integrate(
+        Scenario(
+            protocol=ProtocolSpec(ProtocolKind.P1, alpha),
+            topologies={"G1": g1},
+            topology="G1",
+            t_max=1.5 * t1,
+            **common,
+        )
+    )
+    traj_p2 = integrate(
+        Scenario(
+            protocol=ProtocolSpec(ProtocolKind.P2, alpha),
+            topologies={"G1": g1},
+            topology="G1",
+            t_max=1.5 * t2,
+            **common,
+        )
+    )
     schedule = SwitchingSchedule(
         phases=tuple((name, REF_DWELL) for name in ("G1", "G2", "G3", "G4")),
         cyclic=True,
     )
-    traj_p1, traj_p2, traj_switching = integrate_batch([
-        Scenario(protocol=ProtocolSpec(ProtocolKind.P1, alpha), t_max=1.5 * t1, **fixed),
-        Scenario(protocol=ProtocolSpec(ProtocolKind.P2, alpha), t_max=1.5 * t2, **fixed),
+    traj_switching = integrate(
         Scenario(
             protocol=ProtocolSpec(ProtocolKind.P2, alpha),
             topologies=schedule_graphs,
             schedule=schedule,
             t_max=1.5 * t3,
             **common,
-        ),
-    ])
+        )
+    )
 
     return ReproResult(
         reports=reports,
