@@ -7,7 +7,7 @@ graphs, switching schedules, and literature-value reproduction.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class BoundsReport:
     lambda2_B: float
     t1: float
     t2: float
-    t3: Optional[float]
+    t3: float
     t1_limit_alpha0: float
     alpha: float
 
@@ -123,18 +123,12 @@ def t3_bound(v2_0: float, lambda_min: float, alpha: float) -> float:
     return t2_bound(v2_0, lambda_min, alpha)
 
 
-def _lambda_min(topologies: Iterable[Topology], alpha: float) -> float:
-    """Minimum transformed algebraic connectivity over the given graphs,
-    the connectivity the switching bound t3 uses."""
-    return min(algebraic_connectivity(exponent_transform(t, alpha)) for t in topologies)
-
-
 def scenario_bounds(sc) -> BoundsReport:
     """Spectral quantities and the closed-form time bounds of a Scenario.
 
-    The bounds are taken at the first referenced topology; t3 uses the
-    minimum connectivity over the schedule. All referenced topologies
-    must be connected.
+    t1 and t2 are taken at the first referenced topology; t3 uses the
+    minimum transformed connectivity over the referenced topologies (the
+    first alone for a fixed topology). All of them must be connected.
     """
     alpha = sc.protocol.alpha
     if sc.protocol.kind is ProtocolKind.LINEAR or not 0.0 < alpha < 1.0:
@@ -149,17 +143,17 @@ def scenario_bounds(sc) -> BoundsReport:
 
     base = sc.topologies[referenced[0]]
     lam2_a = algebraic_connectivity(base)
-    lam2_b = algebraic_connectivity(exponent_transform(base, alpha))
+    lam2_b = [
+        algebraic_connectivity(exponent_transform(sc.topologies[name], alpha))
+        for name in dict.fromkeys(referenced)
+    ]
     v1_0 = v1(base, sc.x0)
     v2_0 = v2(sc.x0)
     t1 = t1_bound(v1_0, lam2_a, alpha)
-    t2 = t2_bound(v2_0, lam2_b, alpha)
-    t3 = t2
-    if sc.schedule is not None:
-        scheduled = [sc.topologies[name] for name in dict.fromkeys(referenced)]
-        t3 = t3_bound(v2_0, _lambda_min(scheduled, alpha), alpha)
+    t2 = t2_bound(v2_0, lam2_b[0], alpha)
+    t3 = t3_bound(v2_0, min(lam2_b), alpha)
     t1_limit = t1_limit_alpha0(v1_0, lam2_a)
-    return BoundsReport(v1_0, v2_0, lam2_a, lam2_b, t1, t2, t3, t1_limit, alpha)
+    return BoundsReport(v1_0, v2_0, lam2_a, lam2_b[0], t1, t2, t3, t1_limit, alpha)
 
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:

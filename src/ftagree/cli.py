@@ -88,11 +88,12 @@ def _cmd_repro(args) -> int:
         )
     print(f"reconstructed candidates: {len(result.candidates)}")
     print(f"lambda_min over schedule: {result.lambda_min:.6f}")
-    for label, traj in (
-        ("p1", result.traj_p1),
-        ("p2", result.traj_p2),
-        ("switching", result.traj_switching),
-    ):
+    runs = [
+        ("p1", "protocol1.csv", result.traj_p1),
+        ("p2", "protocol2.csv", result.traj_p2),
+        ("switching", "switching.csv", result.traj_switching),
+    ]
+    for label, _, traj in runs:
         print(f"{label}: {traj.status} at {traj.converged_at}")
     if args.outdir:
         outdir = Path(args.outdir)
@@ -100,13 +101,9 @@ def _cmd_repro(args) -> int:
         (outdir / "report.json").write_text(
             json.dumps(rows, indent=2) + "\n", encoding="utf-8"
         )
-        write_trajectory_csv(result.traj_p1, outdir / "protocol1.csv")
-        write_trajectory_csv(result.traj_p2, outdir / "protocol2.csv")
-        write_trajectory_csv(result.traj_switching, outdir / "switching.csv")
-    if any(
-        t.status != "Converged"
-        for t in (result.traj_p1, result.traj_p2, result.traj_switching)
-    ):
+        for _, name, traj in runs:
+            write_trajectory_csv(traj, outdir / name)
+    if any(traj.status != "Converged" for _, _, traj in runs):
         return EXIT_TIMEOUT
     return EXIT_OK
 
@@ -153,7 +150,7 @@ def run_cli(argv) -> int:
     except DisconnectedTopology as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (FtagreeError, OSError) as exc:
+    except (FtagreeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

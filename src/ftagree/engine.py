@@ -236,37 +236,33 @@ class _Run:
         self.phase = 0
         self.next_switch = self.ends[0] if len(self.ends) > 1 else math.inf
         self.next_event = 0  # step 0 is recorded
-        self.rows = []  # (step, state) for every recorded step
+        self.rows = []  # (step, phase, state) for every recorded step
         self.agreed = self.done = False
 
-    def phase_at(self, k):
-        """Phase of step k; elementwise on an array of steps."""
-        return _phase_index(self.ends, k % self.ends[-1])
-
     def step(self, k: int, x: np.ndarray, agreed: bool) -> None:
-        """Snap, record, end or switch phase at step k, as due."""
+        """Switch phase, snap, record or end at step k, as due."""
         block = x[self.lo:self.hi]
         self.agreed = agreed
         self.done = agreed or k == self.steps
+        if k == self.next_switch:
+            self.phase = int(_phase_index(self.ends, k % self.ends[-1]))
+            self.next_switch = k - k % self.ends[-1] + self.ends[self.phase]
         if agreed:
-            self.rows.append((k, np.full(block.size, block.mean())))
+            self.rows.append((k, self.phase, np.full(block.size, block.mean())))
         elif self.done or k % self.sc.record_every == 0:
-            self.rows.append((k, block.copy()))
+            self.rows.append((k, self.phase, block.copy()))
         if self.done:
             return
-        if k == self.next_switch:
-            self.phase = int(self.phase_at(k))
-            self.next_switch = k - k % self.ends[-1] + self.ends[self.phase]
         every = self.sc.record_every
         self.next_event = min(k - k % every + every, self.steps, self.next_switch)
 
     def trajectory(self) -> Trajectory:
         sc = self.sc
-        ks, states = zip(*self.rows)
+        ks, phases, states = zip(*self.rows)
         t = np.array(ks) * sc.dt
         xs = np.array(states)
         tops = [sc.topologies[name] for name in self.names]
-        v1 = [bounds.v1(tops[p], xk) for p, xk in zip(self.phase_at(np.array(ks)), states)]
+        v1 = [bounds.v1(tops[p], xk) for p, xk in zip(phases, states)]
         agreed = self.agreed
         return Trajectory(
             t=t,

@@ -4,7 +4,6 @@ Format: UTF-8, LF line endings, header `t,x1,...,xn,V1,V2,spread,sum`,
 one row per retained sample, all numbers with 9 significant digits.
 """
 
-import io
 import os
 from typing import Union
 
@@ -24,13 +23,9 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory_csv(traj: Trajectory, destination: Union[str, os.PathLike, io.TextIOBase]) -> int:
-    """Write the trajectory CSV; returns the number of bytes written."""
-    text = trajectory_csv_text(traj)
-    data = text.encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(data)
+def write_trajectory_csv(traj: Trajectory, destination: Union[str, os.PathLike]) -> int:
+    """Write the trajectory CSV to a file; returns the number of bytes written."""
+    data = trajectory_csv_text(traj).encode("utf-8")
+    with open(destination, "wb") as fh:
+        fh.write(data)
     return len(data)

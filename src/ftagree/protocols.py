@@ -12,7 +12,6 @@ O(|E|).
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -40,14 +39,6 @@ class ProtocolSpec:
             raise AlphaOutOfRange(
                 f"{self.kind.value} requires alpha in (0,1), got {self.alpha}"
             )
-
-    def rhs(self, t: Topology) -> Callable[[np.ndarray], np.ndarray]:
-        """The vector field x -> u on t, with t's edge arrays bound once.
-
-        The returned map checks nothing: x must be a float vector of
-        length t.n.
-        """
-        return edge_field(self, t.i, t.j, t.w, t.n)
 
 
 def edge_field(spec: ProtocolSpec, i, j, w, n):
@@ -94,31 +85,27 @@ def sig(r, alpha: float):
     return out if out.ndim else float(out)
 
 
-def _check_dims(t: Topology, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (t.n,):
-        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
-    return x
-
-
 def protocol1_field(t: Topology, x, alpha: float) -> np.ndarray:
     """P1 velocities: the sig nonlinearity wraps each aggregated sum."""
-    return ProtocolSpec(ProtocolKind.P1, alpha).rhs(t)(_check_dims(t, x))
+    return field(ProtocolSpec(ProtocolKind.P1, alpha), t, x)
 
 
 def protocol2_field(t: Topology, x, alpha: float) -> np.ndarray:
     """P2 velocities: sig applied per edge, then weighted-summed."""
-    return ProtocolSpec(ProtocolKind.P2, alpha).rhs(t)(_check_dims(t, x))
+    return field(ProtocolSpec(ProtocolKind.P2, alpha), t, x)
 
 
 def linear_field(t: Topology, x) -> np.ndarray:
     """Linear baseline u = -L(A) x."""
-    return ProtocolSpec(ProtocolKind.LINEAR).rhs(t)(_check_dims(t, x))
+    return field(ProtocolSpec(ProtocolKind.LINEAR), t, x)
 
 
 def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
     """The vector field selected by spec, at x."""
-    return spec.rhs(t)(_check_dims(t, x))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (t.n,):
+        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
+    return edge_field(spec, t.i, t.j, t.w, t.n)(x)
 
 
 def is_equilibrium(t: Topology, x, p: ProtocolSpec, tol: float) -> bool:

@@ -1,8 +1,8 @@
 """Brute-force reconstruction of an unpublished uniform-weight topology
 from its reported edge energy and transformed algebraic connectivity.
 
-The search enumerates every edge subset on n vertices (n <= 8, at most
-2**28 subsets is refused; n = 6 gives 32768), keeps the connected ones
+The search enumerates every edge subset on n vertices (n > 8 is refused;
+n = 8 gives 2**28 subsets, n = 6 gives 32768), keeps the connected ones
 whose edge-energy value matches the target, and filters by the algebraic
 connectivity of the exponent-transformed graph.
 """

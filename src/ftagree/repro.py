@@ -74,8 +74,6 @@ class ReproReport:
 class ReproResult:
     reports: list[ReproReport]
     candidates: list[Topology]
-    g1: Topology
-    schedule_graphs: dict[str, Topology]
     lambda_min: float
     traj_p1: Trajectory
     traj_p2: Trajectory
@@ -95,7 +93,6 @@ def run_repro() -> ReproResult:
     kappa = bounds.disagreement(x0).kappa
     v2_0 = bounds.v2(x0)
     v1_0 = bounds.v1(g1, x0)
-    lam2b_g1 = algebraic_connectivity(exponent_transform(g1, alpha))
     # With every weight equal to 2, the transform scales the whole matrix
     # uniformly, so lam2(L_A) = lam2(L_B) / 2**(2/(1+alpha) - 1). Deriving
     # it from the reported 1.0409 keeps t1 anchored to published data.
@@ -109,7 +106,11 @@ def run_repro() -> ReproResult:
         "G3": cycle_topology(6, REF_WEIGHT),
         "G4": complete_topology(6, REF_WEIGHT),
     }
-    lambda_min = bounds._lambda_min(schedule_graphs.values(), alpha)
+    lam2b = {
+        name: algebraic_connectivity(exponent_transform(top, alpha))
+        for name, top in schedule_graphs.items()
+    }
+    lambda_min = min(lam2b.values())
     t3 = bounds.t3_bound(v2_0, lambda_min, alpha)
 
     reports = [
@@ -121,7 +122,7 @@ def run_repro() -> ReproResult:
         ReproReport.make(
             "lambda2(L_B)",
             REF_LAMBDA2_B,
-            lam2b_g1,
+            lam2b["G1"],
             "transformed connectivity of the first reconstructed graph; "
             f"{len(candidates)} candidate(s) matched, true topology unpublished",
         ),
@@ -152,44 +153,19 @@ def run_repro() -> ReproResult:
         ),
     ]
 
+    fixed = dict(topologies={"G1": g1}, topology="G1")
+    phases = tuple((name, REF_DWELL) for name in schedule_graphs)
+    switching = dict(topologies=schedule_graphs, schedule=SwitchingSchedule(phases, cyclic=True))
+    p1, p2 = ProtocolSpec(ProtocolKind.P1, alpha), ProtocolSpec(ProtocolKind.P2, alpha)
     common = dict(x0=x0, dt=DT, agree_tol=AGREE_TOL, record_every=10)
-    traj_p1 = integrate(
-        Scenario(
-            protocol=ProtocolSpec(ProtocolKind.P1, alpha),
-            topologies={"G1": g1},
-            topology="G1",
-            t_max=1.5 * t1,
-            **common,
-        )
-    )
-    traj_p2 = integrate(
-        Scenario(
-            protocol=ProtocolSpec(ProtocolKind.P2, alpha),
-            topologies={"G1": g1},
-            topology="G1",
-            t_max=1.5 * t2,
-            **common,
-        )
-    )
-    schedule = SwitchingSchedule(
-        phases=tuple((name, REF_DWELL) for name in ("G1", "G2", "G3", "G4")),
-        cyclic=True,
-    )
-    traj_switching = integrate(
-        Scenario(
-            protocol=ProtocolSpec(ProtocolKind.P2, alpha),
-            topologies=schedule_graphs,
-            schedule=schedule,
-            t_max=1.5 * t3,
-            **common,
-        )
-    )
+    traj_p1, traj_p2, traj_switching = [
+        integrate(Scenario(protocol=protocol, t_max=1.5 * bound, **where, **common))
+        for protocol, where, bound in ((p1, fixed, t1), (p2, fixed, t2), (p2, switching, t3))
+    ]
 
     return ReproResult(
         reports=reports,
         candidates=candidates,
-        g1=g1,
-        schedule_graphs=schedule_graphs,
         lambda_min=lambda_min,
         traj_p1=traj_p1,
         traj_p2=traj_p2,

@@ -49,34 +49,38 @@ def _parse_float(value: str, lineno: int, what: str) -> float:
         raise ScenarioSyntaxError(lineno, f"bad {what}: {value!r}") from None
 
 
+def _split_items(value: str, lineno: int, what: str) -> list[str]:
+    """The comma-separated items of value, none of them empty."""
+    items = [s.strip() for s in value.split(",")]
+    if "" in items:
+        raise ScenarioSyntaxError(lineno, f"{what} has an empty item")
+    return items
+
+
 def _parse_x0(value: str, lineno: int) -> list[float]:
     value = value.strip()
     if not (value.startswith("[") and value.endswith("]")):
         raise ScenarioSyntaxError(lineno, "x0 must be a bracketed comma list")
-    items = [s.strip() for s in value[1:-1].split(",") if s.strip()]
-    if not items:
+    inner = value[1:-1]
+    if not inner.strip():
         raise ScenarioSyntaxError(lineno, "x0 must not be empty")
-    return [_parse_float(s, lineno, "x0 entry") for s in items]
+    return [_parse_float(s, lineno, "x0 entry") for s in _split_items(inner, lineno, "x0")]
 
 
 def _parse_schedule(value: str, lineno: int) -> SwitchingSchedule:
     value = value.strip()
-    cyclic = False
-    if value.endswith("cyclic"):
-        cyclic = True
-        value = value[: -len("cyclic")].strip().rstrip(",")
+    cyclic = value.endswith("cyclic")
+    if cyclic:
+        # One comma may separate the last phase from the flag.
+        value = value.removesuffix("cyclic").strip().removesuffix(",")
+    if not value.strip():
+        raise ScenarioSyntaxError(lineno, "schedule must list at least one phase")
     phases = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _split_items(value, lineno, "schedule"):
         if ":" not in item:
             raise ScenarioSyntaxError(lineno, f"schedule item {item!r} needs name:dwell")
         name, dwell_s = item.split(":", 1)
-        name = name.strip()
-        phases.append((name, _parse_float(dwell_s.strip(), lineno, "dwell")))
-    if not phases:
-        raise ScenarioSyntaxError(lineno, "schedule must list at least one phase")
+        phases.append((name.strip(), _parse_float(dwell_s.strip(), lineno, "dwell")))
     return SwitchingSchedule(phases=tuple(phases), cyclic=cyclic)
 
 
@@ -96,8 +100,8 @@ def parse_scenario(text: str) -> Scenario:
         if not line:
             continue
         # Edge lines come first: they are nearly all of a large file.
-        if section is not None and line.startswith("edge"):
-            parts = line.split()
+        parts = line.split()
+        if section is not None and parts[0] == "edge":
             if len(parts) != 4:
                 raise ScenarioSyntaxError(lineno, "edge lines are: edge i j w")
             try:

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftagree import algebraic_connectivity, parse_scenario, scenario_bounds
+from ftagree import (
+    algebraic_connectivity,
+    exponent_transform,
+    parse_scenario,
+    scenario_bounds,
+    t3_bound,
+)
+from ftagree import cli
 from ftagree.cli import run_cli
+from ftagree.repro import run_repro
 
 TWO_AGENT = """\
 protocol = p2
@@ -70,9 +78,34 @@ edge 1 2 1
 edge 0 2 1
 """
         report = scenario_bounds(parse_scenario(text))
-        # path P3 has the smaller connectivity (1 vs 3), so t3 > t2 of A?
-        # base topology is phase A itself here, so t3 equals its t2
+        # A, the path P3, has the smaller transformed connectivity (1 against
+        # 3 for the triangle B) and is also the base phase, so t3 equals t2.
         assert report.t3 == pytest.approx(report.t2, rel=1e-12)
+
+    def test_t3_takes_the_minimum_from_a_later_phase(self):
+        text = """\
+protocol = p2
+alpha = 0.5
+x0 = [0, 1, 2]
+dt = 1e-3
+schedule = K:0.25, P:0.25, K:0.25 cyclic
+
+[topology.K]
+edge 0 1 1
+edge 1 2 1
+edge 0 2 1
+
+[topology.P]
+edge 0 1 1
+edge 1 2 1
+"""
+        sc = parse_scenario(text)
+        report = scenario_bounds(sc)
+        lam_min = algebraic_connectivity(exponent_transform(sc.topologies["P"], 0.5))
+        assert lam_min == pytest.approx(1.0, abs=1e-12)
+        assert report.lambda2_B == pytest.approx(3.0, abs=1e-12)  # the base, K3
+        assert report.t3 == t3_bound(report.v2_0, lam_min, 0.5)
+        assert report.t3 > report.t2
 
 
 class TestCli:
@@ -154,14 +187,33 @@ class TestCli:
 
 
 class TestRepro:
-    def test_repro_cli(self, tmp_path, capsys):
+    def test_repro_cli(self, tmp_path, capsys, monkeypatch):
+        results = []
+
+        def kept_repro():
+            results.append(run_repro())
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_repro", kept_repro)
         outdir = tmp_path / "repro"
         code = run_cli(["repro", "--outdir", str(outdir)])
         out = capsys.readouterr().out
         assert code == 0
-        for token in ("kappa", "V2(0)", "t1", "t2", "t3", "lambda2(L_B)"):
-            assert token in out
+        quantities = [
+            "kappa", "V1(0)", "V2(0)", "lambda2(L_B)", "t1", "t2", "t3",
+            "alpha0_hitting_time_reference",
+        ]
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[1:9]] == quantities
+        assert lines[9:] == [
+            "reconstructed candidates: 3",
+            "lambda_min over schedule: 0.675190",
+            "p1: Converged at 4.88",
+            "p2: Converged at 4.132",
+            "switching: Converged at 1.458",
+        ]
         report = json.loads((outdir / "report.json").read_text())
+        assert [row["quantity"] for row in report] == quantities
         by_name = {row["quantity"]: row for row in report}
         assert set(by_name["kappa"]) == {
             "quantity",
@@ -174,9 +226,22 @@ class TestRepro:
             assert row["abs_error"] == pytest.approx(
                 abs(row["paper_value"] - row["computed_value"]), abs=1e-15
             )
-        assert (outdir / "protocol1.csv").exists()
-        assert (outdir / "protocol2.csv").exists()
-        assert (outdir / "switching.csv").exists()
+        (result,) = results
+        for name, traj in (
+            ("protocol1.csv", result.traj_p1),
+            ("protocol2.csv", result.traj_p2),
+            ("switching.csv", result.traj_switching),
+        ):
+            rows = (outdir / name).read_text().splitlines()
+            assert len(rows) == 1 + len(traj.t)
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "spectral"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "binary.scn"
+    p.write_bytes(b"\xff\xfe")
+    assert run_cli([command, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds", "spectral"])

@@ -128,6 +128,51 @@ class TestParse:
         assert sc.topologies["G"].weights[0, 1] == 1.0
 
 
+# (text, error type, line number): the line is None for errors that no
+# single line causes. MINIMAL's lines are: 1 protocol, 2 alpha, 3 x0,
+# 4 blank, 5 the section header, 6 the edge.
+REJECTED = {
+    "edge-prefix-word": (MINIMAL.replace("edge 0 1 1", "edgewise 0 1 1"), ScenarioSyntaxError, 6),
+    "edge-arity": (MINIMAL.replace("edge 0 1 1", "edge 0 1"), ScenarioSyntaxError, 6),
+    "edge-index": (MINIMAL.replace("edge 0 1 1", "edge 0 a 1"), ScenarioSyntaxError, 6),
+    "edge-weight": (MINIMAL.replace("edge 0 1 1", "edge 0 1 w"), ScenarioSyntaxError, 6),
+    "x0-empty-item": (MINIMAL.replace("[0, 1]", "[0, 1,, 2]"), ScenarioSyntaxError, 3),
+    "x0-trailing-comma": (MINIMAL.replace("[0, 1]", "[0, 1,]"), ScenarioSyntaxError, 3),
+    "schedule-empty-item": (MINIMAL + "schedule = G:0.25,,G:0.25\n", ScenarioSyntaxError, 7),
+    "schedule-trailing-comma": (MINIMAL + "schedule = G:0.25,\n", ScenarioSyntaxError, 7),
+    "schedule-two-commas-before-cyclic": (
+        MINIMAL + "schedule = G:0.25,, cyclic\n", ScenarioSyntaxError, 7
+    ),
+    "schedule-needs-name-dwell": (MINIMAL + "schedule = G 0.25\n", ScenarioSyntaxError, 7),
+    "schedule-empty": (MINIMAL + "schedule = cyclic\n", ScenarioSyntaxError, 7),
+    "duplicate-section": (MINIMAL + "[topology.G]\n", ScenarioSyntaxError, 7),
+    "malformed-section": (MINIMAL + "[topology.G\n", ScenarioSyntaxError, 7),
+    "duplicate-key": (MINIMAL.replace("alpha = 0.5", "alpha = 0.5\nalpha = 0.5"),
+                      ScenarioSyntaxError, 3),
+    "missing-protocol": (MINIMAL.replace("protocol = p2\n", ""), ValidationError, None),
+    "missing-x0": (MINIMAL.replace("x0 = [0, 1]\n", ""), ValidationError, None),
+}
+
+
+@pytest.mark.parametrize("text, error, line", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_text_names_its_line(text, error, line):
+    with pytest.raises(error) as exc:
+        parse_scenario(text)
+    assert getattr(exc.value, "line", None) == line
+
+
+def test_empty_x0_keeps_its_message():
+    with pytest.raises(ScenarioSyntaxError, match="x0 must not be empty") as exc:
+        parse_scenario(MINIMAL.replace("[0, 1]", "[]"))
+    assert exc.value.line == 3
+
+
+def test_one_comma_before_cyclic_is_allowed():
+    sc = parse_scenario(MINIMAL + "schedule = G:0.25, cyclic\n")
+    assert sc.schedule.phases == (("G", 0.25),)
+    assert sc.schedule.cyclic
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL, SIX_AGENT_SWITCHING])
     def test_parse_render_parse(self, text):
