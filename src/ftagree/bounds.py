@@ -131,12 +131,14 @@ def scenario_bounds(sc) -> BoundsReport:
     first alone for a fixed topology). All of them must be connected.
     """
     alpha = sc.protocol.alpha
-    if sc.protocol.kind is ProtocolKind.LINEAR or not 0.0 < alpha < 1.0:
+    if sc.protocol.kind is ProtocolKind.LINEAR:
         raise ValidationError("time bounds require a nonlinear protocol with alpha in (0,1)")
     if sc.x0.size < 2:
         # A single agent has no algebraic connectivity to print (it is +inf).
         raise ValidationError("time bounds need at least two agents")
-    referenced = [name for name, _ in sc.schedule.phases] if sc.schedule else [sc.topology]
+    # Each distinct topology once, in the order of its first phase.
+    names = [name for name, _ in sc.schedule.phases] if sc.schedule else [sc.topology]
+    referenced = list(dict.fromkeys(names))
     for name in referenced:
         if not is_connected(sc.topologies[name]):
             raise DisconnectedTopology(f"topology {name!r} is not connected")
@@ -145,7 +147,7 @@ def scenario_bounds(sc) -> BoundsReport:
     lam2_a = algebraic_connectivity(base)
     lam2_b = [
         algebraic_connectivity(exponent_transform(sc.topologies[name], alpha))
-        for name in dict.fromkeys(referenced)
+        for name in referenced
     ]
     v1_0 = v1(base, sc.x0)
     v2_0 = v2(sc.x0)

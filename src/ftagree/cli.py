@@ -32,7 +32,8 @@ EXIT_TIMEOUT = 4
 
 
 def _read_scenario(path: str) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops a leading byte-order mark.
+    return parse_scenario(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _cmd_simulate(args) -> int:

@@ -12,8 +12,8 @@ Example::
     [topology.G1]
     edge 0 1 1
 
-Comments start with `#`. Defaults: dt=1e-3, agree_tol=1e-6,
-record_every=10, t_max=100.
+Comments start with `#`. A key the file leaves out takes Scenario's
+default.
 """
 
 import re
@@ -29,17 +29,8 @@ from .graph import topology_new
 from .protocols import ProtocolKind, ProtocolSpec
 
 _SECTION_RE = re.compile(r"^\[topology\.([A-Za-z0-9_]+)\]$")
-_KEYS = {
-    "protocol",
-    "alpha",
-    "x0",
-    "dt",
-    "t_max",
-    "agree_tol",
-    "record_every",
-    "schedule",
-    "topology",
-}
+# `cyclic` is a separate last word: alone, or after whitespace or a comma.
+_CYCLIC_RE = re.compile(r"(?:^|[\s,])cyclic$")
 
 
 def _parse_float(value: str, lineno: int, what: str) -> float:
@@ -57,8 +48,16 @@ def _split_items(value: str, lineno: int, what: str) -> list[str]:
     return items
 
 
-def _parse_x0(value: str, lineno: int) -> list[float]:
-    value = value.strip()
+def _parse_protocol(value: str, lineno: int, key: str) -> ProtocolKind:
+    try:
+        return ProtocolKind(value)
+    except ValueError:
+        raise ValidationError(
+            f"line {lineno}: protocol must be p1, p2 or linear, got {value!r}"
+        ) from None
+
+
+def _parse_x0(value: str, lineno: int, key: str) -> list[float]:
     if not (value.startswith("[") and value.endswith("]")):
         raise ScenarioSyntaxError(lineno, "x0 must be a bracketed comma list")
     inner = value[1:-1]
@@ -67,9 +66,8 @@ def _parse_x0(value: str, lineno: int) -> list[float]:
     return [_parse_float(s, lineno, "x0 entry") for s in _split_items(inner, lineno, "x0")]
 
 
-def _parse_schedule(value: str, lineno: int) -> SwitchingSchedule:
-    value = value.strip()
-    cyclic = value.endswith("cyclic")
+def _parse_schedule(value: str, lineno: int, key: str) -> SwitchingSchedule:
+    cyclic = _CYCLIC_RE.search(value) is not None
     if cyclic:
         # One comma may separate the last phase from the flag.
         value = value.removesuffix("cyclic").strip().removesuffix(",")
@@ -84,14 +82,28 @@ def _parse_schedule(value: str, lineno: int) -> SwitchingSchedule:
     return SwitchingSchedule(phases=tuple(phases), cyclic=cyclic)
 
 
+# Each key's reader, called as reader(value, lineno, key) on the key's line.
+_KEYS = {
+    "protocol": _parse_protocol,
+    "alpha": _parse_float,
+    "x0": _parse_x0,
+    "dt": _parse_float,
+    "t_max": _parse_float,
+    "agree_tol": _parse_float,
+    "record_every": _parse_float,
+    "schedule": _parse_schedule,
+    "topology": lambda value, lineno, key: value,
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Syntax problems raise ScenarioSyntaxError with the offending line
-    number; semantically invalid content raises ValidationError, mostly
+    Syntax problems raise ScenarioSyntaxError naming the first offending
+    line; semantically invalid content raises ValidationError, mostly
     from the checks Scenario runs when it is built.
     """
-    keys: dict[str, tuple[str, int]] = {}
+    values: dict[str, object] = {}
     topo_edges: dict[str, list[tuple[int, int, float]]] = {}
     section: str | None = None
 
@@ -126,36 +138,24 @@ def parse_scenario(text: str) -> Scenario:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _KEYS:
             raise ScenarioSyntaxError(lineno, f"unknown key {key!r}")
-        if key in keys:
+        if key in values:
             raise ScenarioSyntaxError(lineno, f"duplicate key {key!r}")
-        keys[key] = (value, lineno)
+        values[key] = _KEYS[key](value, lineno, key)
         section = None
 
-    if "protocol" not in keys:
-        raise ValidationError("missing required key: protocol")
-    if "x0" not in keys:
-        raise ValidationError("missing required key: x0")
-
-    proto_s, proto_line = keys["protocol"]
-    try:
-        kind = ProtocolKind(proto_s)
-    except ValueError:
-        raise ValidationError(
-            f"line {proto_line}: protocol must be p1, p2 or linear, got {proto_s!r}"
-        ) from None
-    if kind is not ProtocolKind.LINEAR and "alpha" not in keys:
+    for key in ("protocol", "x0"):
+        if key not in values:
+            raise ValidationError(f"missing required key: {key}")
+    kind = values.pop("protocol")
+    if kind is not ProtocolKind.LINEAR and "alpha" not in values:
         raise ValidationError("protocols p1/p2 require an alpha key")
-    alpha = 1.0
-    if "alpha" in keys:
-        alpha = _parse_float(keys["alpha"][0], keys["alpha"][1], "alpha")
+    alpha = {"alpha": values.pop("alpha")} if "alpha" in values else {}
     try:
-        protocol = ProtocolSpec(kind=kind, alpha=alpha)
+        protocol = ProtocolSpec(kind, **alpha)
     except FtagreeError as exc:
         raise ValidationError(str(exc)) from exc
 
-    x0 = _parse_x0(*keys["x0"])
-    n = len(x0)
-
+    n = len(values["x0"])
     topologies = {}
     for name, edges in topo_edges.items():
         try:
@@ -163,25 +163,9 @@ def parse_scenario(text: str) -> Scenario:
         except TopologyError as exc:
             raise ValidationError(f"topology {name!r}: {exc}") from exc
 
-    schedule = _parse_schedule(*keys["schedule"]) if "schedule" in keys else None
-    topology = keys["topology"][0] if "topology" in keys else None
-    if schedule is None and topology is None and len(topologies) == 1:
-        topology = next(iter(topologies))
-
-    def number(key: str, default: float) -> float:
-        return _parse_float(*keys[key], key) if key in keys else default
-
-    return Scenario(
-        protocol=protocol,
-        topologies=topologies,
-        x0=x0,
-        schedule=schedule,
-        topology=topology,
-        dt=number("dt", 1e-3),
-        t_max=number("t_max", 100.0),
-        agree_tol=number("agree_tol", 1e-6),
-        record_every=number("record_every", 10),
-    )
+    if "schedule" not in values and "topology" not in values and len(topologies) == 1:
+        values["topology"] = next(iter(topologies))
+    return Scenario(protocol=protocol, topologies=topologies, **values)
 
 
 def render_scenario(sc: Scenario) -> str:

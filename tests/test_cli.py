@@ -4,6 +4,8 @@ import io
 import json
 import math
 import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,25 @@ class TestRepro:
         ):
             rows = (outdir / name).read_text().splitlines()
             assert len(rows) == 1 + len(traj.t)
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "spectral"])
+def test_byte_order_mark_is_accepted(tmp_path, capsys, command):
+    plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+    plain.write_bytes(TWO_AGENT.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + TWO_AGENT.encode())
+    assert run_cli([command, str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert run_cli([command, str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_python_m_ftagree_help(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ftagree", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ftagree", run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage: ftagree" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds", "spectral"])

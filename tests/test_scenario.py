@@ -145,10 +145,17 @@ REJECTED = {
     ),
     "schedule-needs-name-dwell": (MINIMAL + "schedule = G 0.25\n", ScenarioSyntaxError, 7),
     "schedule-empty": (MINIMAL + "schedule = cyclic\n", ScenarioSyntaxError, 7),
+    "schedule-glued-cyclic": (MINIMAL + "schedule = G:0.25cyclic\n", ScenarioSyntaxError, 7),
     "duplicate-section": (MINIMAL + "[topology.G]\n", ScenarioSyntaxError, 7),
     "malformed-section": (MINIMAL + "[topology.G\n", ScenarioSyntaxError, 7),
     "duplicate-key": (MINIMAL.replace("alpha = 0.5", "alpha = 0.5\nalpha = 0.5"),
                       ScenarioSyntaxError, 3),
+    # A value is read on its own line, so the first bad line in the file is named.
+    "bad-alpha-before-unknown-key": (MINIMAL.replace("alpha = 0.5", "alpha = x") + "bogus = 1\n",
+                                     ScenarioSyntaxError, 2),
+    "bad-x0-before-duplicate-section": (
+        MINIMAL.replace("[0, 1]", "[0, a]") + "[topology.G]\n", ScenarioSyntaxError, 3
+    ),
     "missing-protocol": (MINIMAL.replace("protocol = p2\n", ""), ValidationError, None),
     "missing-x0": (MINIMAL.replace("x0 = [0, 1]\n", ""), ValidationError, None),
 }
@@ -168,9 +175,10 @@ def test_empty_x0_keeps_its_message():
 
 
 def test_one_comma_before_cyclic_is_allowed():
-    sc = parse_scenario(MINIMAL + "schedule = G:0.25, cyclic\n")
-    assert sc.schedule.phases == (("G", 0.25),)
-    assert sc.schedule.cyclic
+    for value in ("G:0.25, cyclic", "G:0.25,cyclic"):
+        sc = parse_scenario(MINIMAL + f"schedule = {value}\n")
+        assert sc.schedule.phases == (("G", 0.25),)
+        assert sc.schedule.cyclic
 
 
 class TestRoundTrip:
