@@ -31,6 +31,7 @@ class BoundsReport:
     v2_0: float
     lambda2_A: float
     lambda2_B: float
+    lambda_min: float  # min lambda2_B over the referenced topologies; t3 uses it
     t1: float
     t2: float
     t3: float
@@ -153,9 +154,10 @@ def scenario_bounds(sc) -> BoundsReport:
     v2_0 = v2(sc.x0)
     t1 = t1_bound(v1_0, lam2_a, alpha)
     t2 = t2_bound(v2_0, lam2_b[0], alpha)
-    t3 = t3_bound(v2_0, min(lam2_b), alpha)
+    lam_min = min(lam2_b)
+    t3 = t3_bound(v2_0, lam_min, alpha)
     t1_limit = t1_limit_alpha0(v1_0, lam2_a)
-    return BoundsReport(v1_0, v2_0, lam2_a, lam2_b[0], t1, t2, t3, t1_limit, alpha)
+    return BoundsReport(v1_0, v2_0, lam2_a, lam2_b[0], lam_min, t1, t2, t3, t1_limit, alpha)
 
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:

@@ -88,7 +88,7 @@ def _cmd_repro(args) -> int:
             f"{r.abs_error:>12.3g}"
         )
     print(f"reconstructed candidates: {len(result.candidates)}")
-    print(f"lambda_min over schedule: {result.lambda_min:.6f}")
+    print(f"lambda_min over schedule: {result.bounds.lambda_min:.6f}")
     runs = [
         ("p1", "protocol1.csv", result.traj_p1),
         ("p2", "protocol2.csv", result.traj_p2),

@@ -74,5 +74,5 @@ class ScenarioSyntaxError(FtagreeError, ValueError):
 
 
 class ValidationError(FtagreeError, ValueError):
-    """A scenario's content is invalid (raised when a Scenario is built)."""
+    """A scenario's content is invalid (raised when a Scenario or ProtocolSpec is built)."""
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
+from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, ValidationError
 from .graph import Topology, is_connected
 
 
@@ -31,6 +31,11 @@ class ProtocolSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        try:
+            # Frozen: store the member, so "p2" and ProtocolKind.P2 select one field.
+            object.__setattr__(self, "kind", ProtocolKind(self.kind))
+        except ValueError:
+            raise ValidationError(f"unknown protocol kind {self.kind!r}") from None
         if self.kind is ProtocolKind.LINEAR:
             if self.alpha != 1.0:
                 raise AlphaOutOfRange("linear protocol requires alpha == 1")

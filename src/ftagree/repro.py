@@ -2,36 +2,31 @@
 
 The original study reports scalar results for a six-agent system with
 edge weight 2, exponent 0.5 and initial state [-5, -3, 7, 9, 4, 5], but
-the four interaction graphs it used were never published. This module
-reconstructs candidate graphs for the fixed-topology experiment by
-exhaustive search against the reported edge energy (338) and transformed
-algebraic connectivity (1.0409), then recomputes every reported scalar
-and reruns the simulations on the first candidate.
+not the four interaction graphs it used. This module reconstructs
+candidate graphs for the fixed-topology experiment by exhaustive search
+against the reported edge energy (338) and transformed algebraic
+connectivity (1.0409), recomputes every reported scalar and reruns the
+simulations on the first candidate.
 
-For the switching experiment only the minimum connectivity over the
-schedule is pinned by the reported bound; it matches the weight-2 path
-on six vertices, so the schedule used here is the reconstructed graph
-plus the path, cycle and complete graphs on six vertices (all weight 2,
-all connected, none with smaller transformed connectivity). That
-substitution is stated in the report notes.
+The reported t3 pins only the minimum connectivity over the switching
+schedule, and the weight-2 path on six vertices matches it. So the
+schedule here is the first candidate, then the weight-2 path, cycle and
+complete graph on six vertices (all connected, none with smaller
+transformed connectivity); the report notes say so. V1(0), V2(0),
+lambda2(L_B), the minimum connectivity and t3 come from
+bounds.scenario_bounds on that schedule, as in `ftagree bounds`; t1 and
+t2 stay on the published 338 and 1.0409.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds
 from .engine import Scenario, SwitchingSchedule, Trajectory, integrate
-from .graph import (
-    Topology,
-    complete_topology,
-    cycle_topology,
-    exponent_transform,
-    path_topology,
-)
+from .graph import Topology, complete_topology, cycle_topology, path_topology
 from .protocols import ProtocolKind, ProtocolSpec
 from .reconstruct import reconstruct_paper_graph
-from .spectral import algebraic_connectivity
 
 # Published reference values for the six-agent example.
 REF_X0 = (-5.0, -3.0, 7.0, 9.0, 4.0, 5.0)
@@ -74,7 +69,7 @@ class ReproReport:
 class ReproResult:
     reports: list[ReproReport]
     candidates: list[Topology]
-    lambda_min: float
+    bounds: bounds.BoundsReport
     traj_p1: Trajectory
     traj_p2: Trajectory
     traj_switching: Trajectory
@@ -90,39 +85,39 @@ def run_repro() -> ReproResult:
         raise RuntimeError("graph reconstruction found no candidate topologies")
     g1 = candidates[0]
 
-    kappa = bounds.disagreement(x0).kappa
-    v2_0 = bounds.v2(x0)
-    v1_0 = bounds.v1(g1, x0)
-    # With every weight equal to 2, the transform scales the whole matrix
-    # uniformly, so lam2(L_A) = lam2(L_B) / 2**(2/(1+alpha) - 1). Deriving
-    # it from the reported 1.0409 keeps t1 anchored to published data.
-    lam2a_derived = REF_LAMBDA2_B / REF_WEIGHT ** (2.0 / (1.0 + alpha) - 1.0)
-    t1 = bounds.t1_bound(REF_V1_0, lam2a_derived, alpha)
-    t2 = bounds.t2_bound(v2_0, REF_LAMBDA2_B, alpha)
-
+    p1, p2 = ProtocolSpec(ProtocolKind.P1, alpha), ProtocolSpec(ProtocolKind.P2, alpha)
     schedule_graphs = {
         "G1": g1,
         "G2": path_topology(6, REF_WEIGHT),
         "G3": cycle_topology(6, REF_WEIGHT),
         "G4": complete_topology(6, REF_WEIGHT),
     }
-    lam2b = {
-        name: algebraic_connectivity(exponent_transform(top, alpha))
-        for name, top in schedule_graphs.items()
-    }
-    lambda_min = min(lam2b.values())
-    t3 = bounds.t3_bound(v2_0, lambda_min, alpha)
+    schedule = SwitchingSchedule(tuple((g, REF_DWELL) for g in schedule_graphs), cyclic=True)
+    switching = Scenario(protocol=p2, topologies=schedule_graphs, x0=x0, schedule=schedule,
+                         dt=DT, agree_tol=AGREE_TOL, record_every=10)
+    # V1(0) and lambda2_B are taken at G1, the first phase.
+    computed = bounds.scenario_bounds(switching)
+
+    kappa = bounds.disagreement(x0).kappa
+    # With every weight equal to 2, the transform scales the whole matrix
+    # uniformly, so lam2(L_A) = lam2(L_B) / 2**(2/(1+alpha) - 1). Deriving
+    # it from the reported 1.0409 keeps t1 anchored to published data.
+    lam2a_derived = REF_LAMBDA2_B / REF_WEIGHT ** (2.0 / (1.0 + alpha) - 1.0)
+    t1 = bounds.t1_bound(REF_V1_0, lam2a_derived, alpha)
+    t2 = bounds.t2_bound(computed.v2_0, REF_LAMBDA2_B, alpha)
 
     reports = [
         ReproReport.make("kappa", REF_KAPPA, kappa, "average of initial states"),
-        ReproReport.make("V1(0)", REF_V1_0, v1_0, "edge energy of the first reconstructed graph"),
         ReproReport.make(
-            "V2(0)", REF_V2_0, v2_0, "disagreement energy, topology-independent"
+            "V1(0)", REF_V1_0, computed.v1_0, "edge energy of the first reconstructed graph"
+        ),
+        ReproReport.make(
+            "V2(0)", REF_V2_0, computed.v2_0, "disagreement energy, topology-independent"
         ),
         ReproReport.make(
             "lambda2(L_B)",
             REF_LAMBDA2_B,
-            lam2b["G1"],
+            computed.lambda2_B,
             "transformed connectivity of the first reconstructed graph; "
             f"{len(candidates)} candidate(s) matched, true topology unpublished",
         ),
@@ -139,7 +134,7 @@ def run_repro() -> ReproResult:
         ReproReport.make(
             "t3",
             REF_T3,
-            t3,
+            computed.t3,
             "switching bound; minimum transformed connectivity over the "
             "substituted schedule (weight-2 path on 6 vertices)",
         ),
@@ -153,20 +148,16 @@ def run_repro() -> ReproResult:
         ),
     ]
 
-    fixed = dict(topologies={"G1": g1}, topology="G1")
-    phases = tuple((name, REF_DWELL) for name in schedule_graphs)
-    switching = dict(topologies=schedule_graphs, schedule=SwitchingSchedule(phases, cyclic=True))
-    p1, p2 = ProtocolSpec(ProtocolKind.P1, alpha), ProtocolSpec(ProtocolKind.P2, alpha)
-    common = dict(x0=x0, dt=DT, agree_tol=AGREE_TOL, record_every=10)
+    fixed = replace(switching, topologies={"G1": g1}, topology="G1", schedule=None)
     traj_p1, traj_p2, traj_switching = [
-        integrate(Scenario(protocol=protocol, t_max=1.5 * bound, **where, **common))
-        for protocol, where, bound in ((p1, fixed, t1), (p2, fixed, t2), (p2, switching, t3))
+        integrate(replace(sc, protocol=protocol, t_max=1.5 * bound))
+        for sc, protocol, bound in ((fixed, p1, t1), (fixed, p2, t2), (switching, p2, computed.t3))
     ]
 
     return ReproResult(
         reports=reports,
         candidates=candidates,
-        lambda_min=lambda_min,
+        bounds=computed,
         traj_p1=traj_p1,
         traj_p2=traj_p2,
         traj_switching=traj_switching,

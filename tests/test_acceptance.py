@@ -15,12 +15,13 @@ estimate: 1e-2 for alpha=0.2, 1e-4 for 0.5, 1e-6 for 0.8.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from ftagree import (
+    BoundsReport,
     ProtocolKind,
     ProtocolSpec,
     Scenario,
@@ -42,6 +43,7 @@ from ftagree import (
     lemma1_constant,
     path_topology,
     reconstruct_paper_graph,
+    scenario_bounds,
     t1_bound,
     t2_bound,
     t3_bound,
@@ -68,12 +70,7 @@ class FuzzRun:
     agree_tol: float
     traj_p1: object
     traj_p2: object
-    t1: float
-    t2: float
-    v1_0: float
-    v2_0: float
-    lam2_a: float
-    lam2_b: float
+    bounds: BoundsReport  # what `ftagree bounds` prints for the P1 scenario
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +83,9 @@ def fuzz_corpus():
         n = int(rng.integers(3, 7))
         t = random_connected_topology(rng, n)
         x0 = rng.uniform(-10, 10, n)
-        v1_0 = v1(t, x0)
-        v2_0 = v2(x0)
-        lam2_a = algebraic_connectivity(t)
-        lam2_b = algebraic_connectivity(exponent_transform(t, alpha))
-        bound1 = t1_bound(v1_0, lam2_a, alpha)
-        bound2 = t2_bound(v2_0, lam2_b, alpha)
         tol = ALPHA_TOLS[alpha]
-        common = dict(
+        p1 = Scenario(
+            protocol=ProtocolSpec(ProtocolKind.P1, alpha),
             topologies={"G": t},
             topology="G",
             x0=x0,
@@ -101,24 +93,12 @@ def fuzz_corpus():
             agree_tol=tol,
             record_every=10,
         )
+        b = scenario_bounds(p1)
+        scenarios.append(replace(p1, t_max=1.1 * b.t1 + 1.0))
         scenarios.append(
-            Scenario(
-                protocol=ProtocolSpec(ProtocolKind.P1, alpha),
-                t_max=1.1 * bound1 + 1.0,
-                **common,
-            )
+            replace(p1, protocol=ProtocolSpec(ProtocolKind.P2, alpha), t_max=1.1 * b.t2 + 1.0)
         )
-        scenarios.append(
-            Scenario(
-                protocol=ProtocolSpec(ProtocolKind.P2, alpha),
-                t_max=1.1 * bound2 + 1.0,
-                **common,
-            )
-        )
-        runs.append(
-            FuzzRun(t, alpha, x0, tol, None, None,
-                    bound1, bound2, v1_0, v2_0, lam2_a, lam2_b)
-        )
+        runs.append(FuzzRun(t, alpha, x0, tol, None, None, b))
     # One batch; its runs equal one-at-a-time integrate calls bit for bit.
     trajs = integrate_batch(scenarios)
     for run, traj_p1, traj_p2 in zip(runs, trajs[0::2], trajs[1::2]):
@@ -200,9 +180,9 @@ def test_criterion_4_two_agent_closed_form():
 def test_criterion_5_bound_dominance_fuzz(fuzz_corpus):
     for run in fuzz_corpus:
         assert run.traj_p1.status == "Converged", (run.alpha, run.topology.edges())
-        assert run.traj_p1.converged_at <= run.t1
+        assert run.traj_p1.converged_at <= run.bounds.t1
         assert run.traj_p2.status == "Converged"
-        assert run.traj_p2.converged_at <= run.t2
+        assert run.traj_p2.converged_at <= run.bounds.t2
         assert abs(run.traj_p2.final_value - run.x0.mean()) <= 10 * run.agree_tol
     report(5, f"({len(fuzz_corpus)} graphs, both protocols)")
 
@@ -210,17 +190,18 @@ def test_criterion_5_bound_dominance_fuzz(fuzz_corpus):
 def test_criterion_6_lyapunov_properties(fuzz_corpus):
     negative_control_failed = False
     for run in fuzz_corpus:
+        b = run.bounds
         vs1 = run.traj_p1.v1
-        assert np.all(vs1[1:] <= vs1[:-1] + 1e-9 * run.v1_0)
+        assert np.all(vs1[1:] <= vs1[:-1] + 1e-9 * b.v1_0)
         vs2 = run.traj_p2.v2
-        assert np.all(vs2[1:] <= vs2[:-1] + 1e-9 * run.v2_0)
+        assert np.all(vs2[1:] <= vs2[:-1] + 1e-9 * b.v2_0)
 
-        k1 = k1_constant(run.lam2_a, run.alpha)
-        k2 = k2_constant(run.lam2_b, run.alpha)
-        assert verify_envelope(run.traj_p1, run.v1_0, k1, run.alpha, "v1").passed
-        assert verify_envelope(run.traj_p2, run.v2_0, k2, run.alpha, "v2").passed
+        k1 = k1_constant(b.lambda2_A, run.alpha)
+        k2 = k2_constant(b.lambda2_B, run.alpha)
+        assert verify_envelope(run.traj_p1, b.v1_0, k1, run.alpha, "v1").passed
+        assert verify_envelope(run.traj_p2, b.v2_0, k2, run.alpha, "v2").passed
         if not verify_envelope(
-            run.traj_p1, run.v1_0, 2.0 * k1, run.alpha, "v1"
+            run.traj_p1, b.v1_0, 2.0 * k1, run.alpha, "v1"
         ).passed:
             negative_control_failed = True
     assert negative_control_failed

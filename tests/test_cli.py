@@ -33,6 +33,24 @@ t_max = 3
 edge 0 1 1
 """
 
+# The path P3 (transformed connectivity 1) is scheduled after the base K3 (3).
+K3_P3_K3 = """\
+protocol = p2
+alpha = 0.5
+x0 = [0, 1, 2]
+dt = 1e-3
+schedule = K:0.25, P:0.25, K:0.25 cyclic
+
+[topology.K]
+edge 0 1 1
+edge 1 2 1
+edge 0 2 1
+
+[topology.P]
+edge 0 1 1
+edge 1 2 1
+"""
+
 DISCONNECTED = """\
 protocol = p2
 alpha = 0.5
@@ -85,27 +103,12 @@ edge 0 2 1
         assert report.t3 == pytest.approx(report.t2, rel=1e-12)
 
     def test_t3_takes_the_minimum_from_a_later_phase(self):
-        text = """\
-protocol = p2
-alpha = 0.5
-x0 = [0, 1, 2]
-dt = 1e-3
-schedule = K:0.25, P:0.25, K:0.25 cyclic
-
-[topology.K]
-edge 0 1 1
-edge 1 2 1
-edge 0 2 1
-
-[topology.P]
-edge 0 1 1
-edge 1 2 1
-"""
-        sc = parse_scenario(text)
+        sc = parse_scenario(K3_P3_K3)
         report = scenario_bounds(sc)
         lam_min = algebraic_connectivity(exponent_transform(sc.topologies["P"], 0.5))
         assert lam_min == pytest.approx(1.0, abs=1e-12)
         assert report.lambda2_B == pytest.approx(3.0, abs=1e-12)  # the base, K3
+        assert report.lambda_min == lam_min
         assert report.t3 == t3_bound(report.v2_0, lam_min, 0.5)
         assert report.t3 > report.t2
 
@@ -115,7 +118,36 @@ class TestCli:
         code = run_cli(["bounds", str(two_agent_file)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "t2 = 1.189207" in out
+        assert out.splitlines() == [
+            "v1_0 = 0.500000",
+            "v2_0 = 0.250000",
+            "lambda2_A = 2.000000",
+            "lambda2_B = 2.000000",
+            "lambda_min = 2.000000",
+            "t1 = 1.189207",
+            "t2 = 1.189207",
+            "t3 = 1.189207",
+            "t1_limit_alpha0 = 0.707107",
+            "alpha = 0.500000",
+        ]
+
+    def test_bounds_output_switching(self, tmp_path, capsys):
+        p = tmp_path / "k3_p3_k3.scn"
+        p.write_text(K3_P3_K3)
+        assert run_cli(["bounds", str(p)]) == 0
+        # lambda_min comes from P, the later phase; lambda2_B from the base K.
+        assert capsys.readouterr().out.splitlines() == [
+            "v1_0 = 3.000000",
+            "v2_0 = 1.000000",
+            "lambda2_A = 3.000000",
+            "lambda2_B = 3.000000",
+            "lambda_min = 1.000000",
+            "t1 = 1.373178",
+            "t2 = 1.240806",
+            "t3 = 2.828427",
+            "t1_limit_alpha0 = 1.414214",
+            "alpha = 0.500000",
+        ]
 
     def test_simulate_bad_alpha(self, tmp_path, capsys):
         p = tmp_path / "bad.scn"
@@ -205,9 +237,16 @@ class TestRepro:
             "kappa", "V1(0)", "V2(0)", "lambda2(L_B)", "t1", "t2", "t3",
             "alpha0_hitting_time_reference",
         ]
-        lines = out.splitlines()
-        assert [line.split()[0] for line in lines[1:9]] == quantities
-        assert lines[9:] == [
+        assert out.splitlines() == [
+            "quantity                               paper      computed   abs_error",
+            "kappa                                 2.8333      2.833333    3.33e-05",
+            "V1(0)                               338.0000    338.000000           0",
+            "V2(0)                                78.4167     78.416667    3.33e-05",
+            "lambda2(L_B)                          1.0409      1.040932    3.17e-05",
+            "t1                                   11.7681     11.768400      0.0003",
+            "t2                                    8.1673      8.167522    0.000222",
+            "t3                                   11.3000     11.299982     1.8e-05",
+            "alpha0_hitting_time_reference         7.0000      7.000000           0",
             "reconstructed candidates: 3",
             "lambda_min over schedule: 0.675190",
             "p1: Converged at 4.88",

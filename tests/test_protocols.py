@@ -6,7 +6,11 @@ import pytest
 from ftagree import (
     ProtocolKind,
     ProtocolSpec,
+    Scenario,
     complete_topology,
+    field,
+    integrate,
+    integrate_batch,
     is_connected,
     is_equilibrium,
     laplacian,
@@ -17,7 +21,12 @@ from ftagree import (
     sig,
     topology_new,
 )
-from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
+from ftagree.errors import (
+    AlphaOutOfRange,
+    DimensionMismatch,
+    DisconnectedTopology,
+    ValidationError,
+)
 from conftest import dense_weights, random_connected_topology, random_edge_list
 
 P3 = path_topology(3)
@@ -240,6 +249,30 @@ class TestProtocolSpec:
                 ProtocolSpec(ProtocolKind.P1, bad)
         with pytest.raises(AlphaOutOfRange):
             ProtocolSpec(ProtocolKind.LINEAR, 0.5)
+
+    def test_string_kind_is_the_enum_member(self):
+        x = np.array([0.0, 1.0, 4.0])
+        for kind in ProtocolKind:
+            alpha = 1.0 if kind is ProtocolKind.LINEAR else 0.5
+            text = ProtocolSpec(kind.value, alpha)
+            assert text.kind is kind
+            np.testing.assert_array_equal(
+                field(text, P3, x), field(ProtocolSpec(kind, alpha), P3, x)
+            )
+        with pytest.raises(ValidationError):
+            ProtocolSpec("p3", 0.5)
+
+    def test_string_kind_twin_in_a_batch(self):
+        # The twin compares equal, so the batch groups both runs under one
+        # spec: each must still run P2, as the enum run does alone.
+        def run(kind):
+            return Scenario(protocol=ProtocolSpec(kind, 0.5), topologies={"P": P3},
+                            topology="P", x0=[0.0, 1.0, 4.0], t_max=6.0)
+
+        alone = integrate(run(ProtocolKind.P2))
+        assert alone.status == "Converged" and alone.converged_at == pytest.approx(2.857)
+        for traj in integrate_batch([run("p2"), run(ProtocolKind.P2)]):
+            assert (traj.status, traj.converged_at) == (alone.status, alone.converged_at)
 
 
 class TestIsEquilibrium:
