@@ -47,9 +47,6 @@ from .protocols import (
     ProtocolSpec,
     field,
     is_equilibrium,
-    linear_field,
-    protocol1_field,
-    protocol2_field,
     sig,
 )
 from .reconstruct import reconstruct_paper_graph

@@ -138,8 +138,7 @@ def scenario_bounds(sc) -> BoundsReport:
         # A single agent has no algebraic connectivity to print (it is +inf).
         raise ValidationError("time bounds need at least two agents")
     # Each distinct topology once, in the order of its first phase.
-    names = [name for name, _ in sc.schedule.phases] if sc.schedule else [sc.topology]
-    referenced = list(dict.fromkeys(names))
+    referenced = list(dict.fromkeys(name for name, _ in sc.phases))
     for name in referenced:
         if not is_connected(sc.topologies[name]):
             raise DisconnectedTopology(f"topology {name!r} is not connected")

@@ -66,7 +66,9 @@ class Scenario:
 
     def __post_init__(self):
         """Reject invalid content: integrate and parse_scenario rely on this alone."""
-        self.x0 = x0 = np.asarray(self.x0, dtype=float)
+        # A read-only copy: the caller's array cannot change x0 after the checks.
+        self.x0 = x0 = np.array(self.x0, dtype=float)
+        x0.flags.writeable = False
         if x0.ndim != 1 or x0.size < 1:
             raise ValidationError("x0 must be a nonempty vector")
         if not np.all(np.isfinite(x0)):
@@ -97,14 +99,13 @@ class Scenario:
         self.record_every = int(self.record_every)
         if (self.schedule is None) == (self.topology is None):
             raise ValidationError("scenario needs exactly one of: schedule, topology")
-        if self.topology is not None and self.topology not in self.topologies:
-            raise ValidationError(f"unknown topology reference {self.topology!r}")
+        for name, _ in self.phases:
+            if name not in self.topologies:
+                raise ValidationError(f"unknown topology reference {name!r}")
         if self.schedule is None:
             return
         steps = []
         for name, dwell in self.schedule.phases:
-            if name not in self.topologies:
-                raise ValidationError(f"schedule references unknown topology {name!r}")
             n = dwell / self.dt
             whole = math.isfinite(n) and abs(n - round(n)) <= 1e-6
             if not whole or round(n) < 1:
@@ -116,12 +117,19 @@ class Scenario:
         # this schedule and integrate switch at the same step.
         phases = tuple((name, n * self.dt) for (name, _), n in zip(self.schedule.phases, steps))
         self.schedule = SwitchingSchedule(phases, self.schedule.cyclic)
-        # Phases are half-open and the last sample is taken at t_max.
+        # Phases are half-open, and a run takes round(t_max/dt) steps (its
+        # last sample is at that step, which is t_max only on the dt grid),
+        # so the schedule must hold past that step.
         if not self.schedule.cyclic and sum(steps) <= round(self.t_max / self.dt):
             raise ValidationError(
                 f"non-cyclic schedule ends at t={self.schedule.period:g}, "
                 f"not after t_max={self.t_max:g}"
             )
+
+    @property
+    def phases(self) -> Tuple[Tuple[str, float], ...]:
+        """(topology name, dwell) in order; a fixed topology is one phase."""
+        return self.schedule.phases if self.schedule else ((self.topology, self.dt),)
 
 
 # One row of a Trajectory (see Trajectory.samples).
@@ -152,13 +160,6 @@ class Trajectory:
         return list(map(Sample, self.t, self.x, self.v1, self.v2, self.spread, self.sum))
 
 
-def _phase_index(ends, r):
-    """Phase holding position r of one period, given the cumulative phase
-    ends: phase i holds the half-open interval [ends[i-1], ends[i]), and r
-    at or past the last end wraps to phase 0. Elementwise on an array r."""
-    return np.searchsorted(ends, r, side="right") % len(ends)
-
-
 def topology_at(
     s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
 ) -> Topology:
@@ -176,7 +177,9 @@ def topology_at(
     # by far less than the shortest dwell.
     dwells = [d for _, d in s.phases]
     eps = min(1e-9 * max(1.0, period), 1e-6 * min(dwells))
-    name = s.phases[_phase_index([end - eps for end in accumulate(dwells)], r)][0]
+    # Phase i holds [ends[i-1], ends[i]); r at or past the last end wraps to phase 0.
+    ends = [end - eps for end in accumulate(dwells)]
+    name = s.phases[np.searchsorted(ends, r, side="right") % len(ends)][0]
     if name not in topologies:
         raise UnknownTopologyId(name)
     return topologies[name]
@@ -194,7 +197,8 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
 
     Dwell times are integer multiples of dt, so every step sees a single
     topology and the right-continuous switching signal is discretized
-    unambiguously. A fixed topology is a cyclic schedule of one phase.
+    unambiguously. Each phase holds for its dwell, then the next one takes
+    over; a fixed topology is one phase (see Scenario.phases).
 
     Scenarios that share their protocol (kind and alpha) and dt run in
     one RK4 loop on the disjoint union of their graphs: each run owns a
@@ -228,13 +232,11 @@ class _Run:
     def __init__(self, sc: Scenario, index: int):
         self.sc = sc
         self.index = index  # position in the caller's list
-        schedule = sc.schedule or SwitchingSchedule(((sc.topology, sc.dt),))
-        self.names = [name for name, _ in schedule.phases]
-        # Phase i holds steps [ends[i-1], ends[i]) of each period.
-        self.ends = list(accumulate(round(d / sc.dt) for _, d in schedule.phases))
+        self.names = [name for name, _ in sc.phases]
+        self.dwells = [round(d / sc.dt) for _, d in sc.phases]  # in steps
         self.steps = int(round(sc.t_max / sc.dt))
         self.phase = 0
-        self.next_switch = self.ends[0] if len(self.ends) > 1 else math.inf
+        self.next_switch = self.dwells[0] if len(self.dwells) > 1 else math.inf
         self.next_event = 0  # step 0 is recorded
         self.rows = []  # (step, phase, state) for every recorded step
         self.agreed = self.done = False
@@ -245,8 +247,8 @@ class _Run:
         self.agreed = agreed
         self.done = agreed or k == self.steps
         if k == self.next_switch:
-            self.phase = int(_phase_index(self.ends, k % self.ends[-1]))
-            self.next_switch = k - k % self.ends[-1] + self.ends[self.phase]
+            self.phase = (self.phase + 1) % len(self.dwells)
+            self.next_switch = k + self.dwells[self.phase]
         if agreed:
             self.rows.append((k, self.phase, np.full(block.size, block.mean())))
         elif self.done or k % self.sc.record_every == 0:

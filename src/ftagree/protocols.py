@@ -90,21 +90,6 @@ def sig(r, alpha: float):
     return out if out.ndim else float(out)
 
 
-def protocol1_field(t: Topology, x, alpha: float) -> np.ndarray:
-    """P1 velocities: the sig nonlinearity wraps each aggregated sum."""
-    return field(ProtocolSpec(ProtocolKind.P1, alpha), t, x)
-
-
-def protocol2_field(t: Topology, x, alpha: float) -> np.ndarray:
-    """P2 velocities: sig applied per edge, then weighted-summed."""
-    return field(ProtocolSpec(ProtocolKind.P2, alpha), t, x)
-
-
-def linear_field(t: Topology, x) -> np.ndarray:
-    """Linear baseline u = -L(A) x."""
-    return field(ProtocolSpec(ProtocolKind.LINEAR), t, x)
-
-
 def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
     """The vector field selected by spec, at x."""
     x = np.asarray(x, dtype=float)

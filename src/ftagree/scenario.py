@@ -172,7 +172,11 @@ def render_scenario(sc: Scenario) -> str:
     """Serialize a Scenario back into the file grammar.
 
     parse(render(parse(text))) equals parse(text) on semantic content.
+    A topology name that a section header cannot hold raises ValidationError.
     """
+    for name in sc.topologies:
+        if not _SECTION_RE.match(f"[topology.{name}]"):
+            raise ValidationError(f"topology name {name!r} cannot be written to a scenario file")
     lines = [
         f"protocol = {sc.protocol.kind.value}",
         f"alpha = {sc.protocol.alpha!r}",

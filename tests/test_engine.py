@@ -142,6 +142,13 @@ class TestIntegrate:
         assert traj.converged_at is None
         assert traj.t[-1] == pytest.approx(0.2)
 
+    def test_run_ends_at_step_round_t_max_over_dt(self):
+        # 1.0 / 0.3 rounds to 3 steps: the run ends at t = 0.9, not at t_max.
+        traj = integrate(two_agent_scenario(dt=0.3, t_max=1.0, record_every=1))
+        assert traj.status == "TimedOut"
+        assert len(traj.t) == 4
+        assert traj.t[-1] == 3 * 0.3
+
     def test_sample_times_strictly_increasing(self):
         traj = integrate(two_agent_scenario())
         assert traj.t[0] == 0.0
@@ -262,6 +269,47 @@ class TestIntegrate:
         sched = SwitchingSchedule(phases=(("G", 0.0015),), cyclic=True)
         with pytest.raises(ValidationError):
             integrate(two_agent_scenario(topology=None, schedule=sched, dt=1e-3))
+
+
+class TestScenario:
+    def test_phases_of_a_fixed_topology(self):
+        sc = two_agent_scenario(dt=0.01)
+        assert sc.phases == (("G", 0.01),)
+
+    def test_phases_of_a_schedule_are_snapped_to_the_grid(self):
+        sched = SwitchingSchedule(phases=(("G", 0.050000005), ("H", 0.03)), cyclic=True)
+        sc = two_agent_scenario(
+            topologies={"G": EDGE, "H": EDGE}, topology=None, schedule=sched, dt=0.01
+        )
+        assert sc.phases == (("G", 5 * 0.01), ("H", 3 * 0.01))
+        assert sc.phases == sc.schedule.phases
+
+    @pytest.mark.parametrize("where", ["topology", "schedule"])
+    def test_unknown_name_has_one_message(self, where):
+        sched = SwitchingSchedule(phases=(("G", 0.05), ("missing", 0.03)), cyclic=True)
+        refs = {"topology": dict(topology="missing"),
+                "schedule": dict(topology=None, schedule=sched)}[where]
+        with pytest.raises(ValidationError, match="^unknown topology reference 'missing'$"):
+            two_agent_scenario(dt=0.01, **refs)
+
+    def test_x0_is_a_read_only_copy(self):
+        x0 = np.array([0.0, 1.0, 4.0])
+        sc = Scenario(
+            protocol=P2_HALF,
+            topologies={"P3": path_topology(3)},
+            topology="P3",
+            x0=x0,
+            t_max=6.0,
+        )
+        assert sc.x0 is not x0
+        with pytest.raises(ValueError):
+            sc.x0[0] = 1.0
+        # Writing the caller's array after the checks leaves the scenario valid.
+        x0[0] = np.nan
+        x0[1] = 1e308
+        traj = integrate(sc)
+        assert traj.status == "Converged"
+        assert traj.final_value == pytest.approx(5.0 / 3.0)
 
 
 COLUMNS = ("t", "x", "v1", "v2", "spread", "sum")

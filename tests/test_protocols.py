@@ -14,10 +14,7 @@ from ftagree import (
     is_connected,
     is_equilibrium,
     laplacian,
-    linear_field,
     path_topology,
-    protocol1_field,
-    protocol2_field,
     sig,
     topology_new,
 )
@@ -61,9 +58,9 @@ class TestEdgeKernel:
                 alpha = rng.choice([0.2, 0.5, 0.8])
                 ref = dense_fields(w, x, alpha)
                 got = {
-                    "p1": protocol1_field(t, x, alpha),
-                    "p2": protocol2_field(t, x, alpha),
-                    "linear": linear_field(t, x),
+                    "p1": field(ProtocolSpec(ProtocolKind.P1, alpha), t, x),
+                    "p2": field(ProtocolSpec(ProtocolKind.P2, alpha), t, x),
+                    "linear": field(ProtocolSpec(ProtocolKind.LINEAR), t, x),
                 }
                 for kind, (expected, scale) in ref.items():
                     np.testing.assert_allclose(
@@ -81,7 +78,7 @@ class TestEdgeKernel:
                 pairs.add((min(a, b), max(a, b)))
         t = topology_new(n, [(a, b, rng.uniform(0.5, 2.0)) for a, b in sorted(pairs)])
         for alpha in (0.2, 0.5, 0.8):
-            u = protocol2_field(t, rng.uniform(-10, 10, n), alpha)
+            u = field(ProtocolSpec(ProtocolKind.P2, alpha), t, rng.uniform(-10, 10, n))
             assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
 
@@ -106,38 +103,42 @@ class TestSig:
 class TestProtocol1:
     def test_two_agents(self):
         np.testing.assert_allclose(
-            protocol1_field(EDGE, [0.0, 1.0], 0.5), [1.0, -1.0], atol=0
+            field(ProtocolSpec(ProtocolKind.P1, 0.5), EDGE, [0.0, 1.0]), [1.0, -1.0], atol=0
         )
 
     def test_constant_state(self, rng):
         t = random_connected_topology(rng, 5)
-        u = protocol1_field(t, 7.0 * np.ones(5), 0.5)
+        u = field(ProtocolSpec(ProtocolKind.P1, 0.5), t, 7.0 * np.ones(5))
         np.testing.assert_array_equal(u, np.zeros(5))
 
     def test_unit_p3(self):
         # inner sums 0, 4, -4; sig at alpha=0.5 gives 0, 2, -2
         np.testing.assert_allclose(
-            protocol1_field(P3, [0.0, 0.0, 4.0], 0.5), [0.0, 2.0, -2.0], atol=1e-14
+            field(ProtocolSpec(ProtocolKind.P1, 0.5), P3, [0.0, 0.0, 4.0]),
+            [0.0, 2.0, -2.0],
+            atol=1e-14,
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            protocol1_field(P3, [0.0, 1.0], 0.5)
+            field(ProtocolSpec(ProtocolKind.P1, 0.5), P3, [0.0, 1.0])
 
 
 class TestProtocol2:
     def test_two_agents(self):
-        u = protocol2_field(EDGE, [0.0, 1.0], 0.5)
+        u = field(ProtocolSpec(ProtocolKind.P2, 0.5), EDGE, [0.0, 1.0])
         np.testing.assert_allclose(u, [1.0, -1.0], atol=0)
         assert u.sum() == 0.0
 
     def test_unit_p3(self):
         np.testing.assert_allclose(
-            protocol2_field(P3, [0.0, 0.0, 4.0], 0.5), [0.0, 2.0, -2.0], atol=1e-14
+            field(ProtocolSpec(ProtocolKind.P2, 0.5), P3, [0.0, 0.0, 4.0]),
+            [0.0, 2.0, -2.0],
+            atol=1e-14,
         )
 
     def test_unit_triangle(self):
-        u = protocol2_field(complete_topology(3), [0.0, 1.0, 4.0], 0.5)
+        u = field(ProtocolSpec(ProtocolKind.P2, 0.5), complete_topology(3), [0.0, 1.0, 4.0])
         expected = [3.0, math.sqrt(3.0) - 1.0, -2.0 - math.sqrt(3.0)]
         np.testing.assert_allclose(u, expected, atol=1e-12)
         assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
@@ -148,18 +149,20 @@ class TestProtocol2:
             t = random_connected_topology(rng, n)
             x = rng.uniform(-10, 10, n)
             alpha = rng.uniform(0.05, 0.95)
-            u = protocol2_field(t, x, alpha)
+            u = field(ProtocolSpec(ProtocolKind.P2, alpha), t, x)
             assert abs(u.sum()) <= 1e-12 * max(1e-300, np.abs(u).sum())
 
 
 class TestLinear:
     def test_constant(self, rng):
         t = random_connected_topology(rng, 4)
-        np.testing.assert_array_equal(linear_field(t, 3.0 * np.ones(4)), np.zeros(4))
+        np.testing.assert_array_equal(
+            field(ProtocolSpec(ProtocolKind.LINEAR), t, 3.0 * np.ones(4)), np.zeros(4)
+        )
 
     def test_unit_p3(self):
         np.testing.assert_allclose(
-            linear_field(P3, [0.0, 0.0, 4.0]), [0.0, 4.0, -4.0], atol=0
+            field(ProtocolSpec(ProtocolKind.LINEAR), P3, [0.0, 0.0, 4.0]), [0.0, 4.0, -4.0], atol=0
         )
 
     def test_equals_minus_laplacian(self, rng):
@@ -167,14 +170,16 @@ class TestLinear:
             t = random_connected_topology(rng, 5)
             x = rng.uniform(-10, 10, 5)
             expected = -laplacian(t) @ x
-            got = linear_field(t, x)
+            got = field(ProtocolSpec(ProtocolKind.LINEAR), t, x)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_p2_alpha_to_one_limit(self, rng):
         t = random_connected_topology(rng, 4)
         x = rng.uniform(-2, 2, 4)
         np.testing.assert_allclose(
-            protocol2_field(t, x, 0.999), linear_field(t, x), atol=1e-2
+            field(ProtocolSpec(ProtocolKind.P2, 0.999), t, x),
+            field(ProtocolSpec(ProtocolKind.LINEAR), t, x),
+            atol=1e-2,
         )
 
 
@@ -183,14 +188,11 @@ class TestSharedProperties:
         # perturbing a non-neighbor's state leaves u_i unchanged
         t = path_topology(4)  # vertex 0 and vertex 3 are not adjacent
         x = rng.uniform(-5, 5, 4)
-        for f in (
-            lambda tt, xx: protocol1_field(tt, xx, 0.5),
-            lambda tt, xx: protocol2_field(tt, xx, 0.5),
-        ):
-            u_before = f(t, x)
+        for spec in (ProtocolSpec(ProtocolKind.P1, 0.5), ProtocolSpec(ProtocolKind.P2, 0.5)):
+            u_before = field(spec, t, x)
             x2 = x.copy()
             x2[3] += 1.7
-            u_after = f(t, x2)
+            u_after = field(spec, t, x2)
             assert u_after[0] == u_before[0]
 
     def test_permutation_equivariance(self, rng):
@@ -209,13 +211,13 @@ class TestSharedProperties:
                     if w_p[i, j] > 0
                 ],
             )
-            for f in (
-                lambda tt, xx: protocol1_field(tt, xx, 0.5),
-                lambda tt, xx: protocol2_field(tt, xx, 0.5),
-                linear_field,
+            for spec in (
+                ProtocolSpec(ProtocolKind.P1, 0.5),
+                ProtocolSpec(ProtocolKind.P2, 0.5),
+                ProtocolSpec(ProtocolKind.LINEAR),
             ):
                 np.testing.assert_allclose(
-                    f(t_p, x[perm]), f(t, x)[perm], atol=1e-12
+                    field(spec, t_p, x[perm]), field(spec, t, x)[perm], atol=1e-12
                 )
 
     def test_translation_invariance(self, rng):
@@ -223,20 +225,18 @@ class TestSharedProperties:
             t = random_connected_topology(rng, 5)
             x = rng.uniform(-5, 5, 5)
             c = rng.uniform(-100, 100)
-            for f in (
-                lambda tt, xx: protocol1_field(tt, xx, 0.3),
-                lambda tt, xx: protocol2_field(tt, xx, 0.3),
-            ):
-                np.testing.assert_allclose(f(t, x + c), f(t, x), atol=1e-9)
+            for spec in (ProtocolSpec(ProtocolKind.P1, 0.3), ProtocolSpec(ProtocolKind.P2, 0.3)):
+                np.testing.assert_allclose(field(spec, t, x + c), field(spec, t, x), atol=1e-9)
 
     def test_positive_homogeneity(self, rng):
         alpha = 0.5
         for c in (0.5, 2.0, 10.0):
             t = random_connected_topology(rng, 5)
             x = rng.uniform(-5, 5, 5)
-            for f in (protocol1_field, protocol2_field):
+            for kind in (ProtocolKind.P1, ProtocolKind.P2):
+                spec = ProtocolSpec(kind, alpha)
                 np.testing.assert_allclose(
-                    f(t, c * x, alpha), c ** alpha * f(t, x, alpha), rtol=1e-10
+                    field(spec, t, c * x), c ** alpha * field(spec, t, x), rtol=1e-10
                 )
 
 

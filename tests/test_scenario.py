@@ -1,7 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from ftagree import ProtocolKind, parse_scenario, render_scenario
+from ftagree import ProtocolKind, SwitchingSchedule, parse_scenario, render_scenario
 from ftagree.errors import ScenarioSyntaxError, ValidationError
 
 MINIMAL = """\
@@ -199,3 +202,17 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 sc2.topologies[name].weights, sc1.topologies[name].weights
             )
+
+    def test_topology_named_cyclic_round_trips(self):
+        text = MINIMAL.replace("[topology.G]", "[topology.cyclic]")
+        text += "schedule = cyclic:0.25 cyclic\n"
+        sc1 = parse_scenario(text)
+        sc2 = parse_scenario(render_scenario(sc1))
+        assert sc2.schedule == sc1.schedule == SwitchingSchedule((("cyclic", 0.25),), True)
+
+    @pytest.mark.parametrize("name", ["G-1", "G 1", "G:1", "G,1", "G#1"])
+    def test_unreadable_topology_name_is_refused(self, name):
+        sc = parse_scenario(MINIMAL)
+        sc = dataclasses.replace(sc, topologies={name: sc.topologies["G"]}, topology=name)
+        with pytest.raises(ValidationError, match=re.escape(repr(name))):
+            render_scenario(sc)
