@@ -45,7 +45,7 @@ def lemma1_constant(n: int, p: float) -> float:
     For any nonnegative y: sum(y_i**p) >= m(n, p) * (sum(y_i))**p.
     """
     if n < 1 or p <= 0:
-        raise ValueError(f"need n >= 1 and p > 0, got n={n}, p={p}")
+        raise ValidationError(f"need n >= 1 and p > 0, got n={n}, p={p}")
     return min(float(n) ** (1.0 - p), 1.0)
 
 
@@ -81,7 +81,7 @@ def v2(x):
 
 def _check_bound_args(v_0: float, lam2: float, alpha: Optional[float]) -> None:
     if v_0 < 0:
-        raise ValueError(f"initial Lyapunov value must be >= 0, got {v_0}")
+        raise ValidationError(f"initial Lyapunov value must be >= 0, got {v_0}")
     if lam2 <= 0:
         raise DisconnectedTopology(f"algebraic connectivity must be > 0, got {lam2}")
     if alpha is not None and not 0.0 < alpha < 1.0:
@@ -179,7 +179,7 @@ def envelope(v_0: float, K: float, alpha: float, t):
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
-        raise ValueError("time must be >= 0")
+        raise ValidationError("time must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
     q = (1.0 - alpha) / 2.0

@@ -11,7 +11,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class SwitchingSchedule:
 @dataclass
 class Scenario:
     protocol: ProtocolSpec
-    topologies: Dict[str, Topology]
+    topologies: Mapping[str, Topology]
     x0: np.ndarray
     schedule: Optional[SwitchingSchedule] = None
     topology: Optional[str] = None
@@ -73,6 +74,8 @@ class Scenario:
             raise ValidationError("x0 must be a nonempty vector")
         if not np.all(np.isfinite(x0)):
             raise ValidationError("x0 must be finite")
+        # A read-only copy too: the caller's dict cannot swap a topology in.
+        self.topologies = MappingProxyType(dict(self.topologies))
         if not self.topologies:
             raise ValidationError("scenario defines no topologies")
         for name, top in self.topologies.items():
@@ -161,7 +164,7 @@ class Trajectory:
 
 
 def topology_at(
-    s: SwitchingSchedule, topologies: Dict[str, Topology], t: float
+    s: SwitchingSchedule, topologies: Mapping[str, Topology], t: float
 ) -> Topology:
     """Topology active at time t; half-open phase intervals [start, start+dwell)."""
     if not 0 <= t < math.inf:
@@ -359,7 +362,7 @@ def verify_envelope(
     by adjacent-sample differences. max_violation is signed; <= 0 passes.
     """
     if metric not in ("v1", "v2"):
-        raise ValueError(f"metric must be 'v1' or 'v2', got {metric!r}")
+        raise ValidationError(f"metric must be 'v1' or 'v2', got {metric!r}")
     vs = getattr(traj, metric)
     ts = traj.t
     dvdt = np.zeros(len(vs))

@@ -74,5 +74,6 @@ class ScenarioSyntaxError(FtagreeError, ValueError):
 
 
 class ValidationError(FtagreeError, ValueError):
-    """A scenario's content is invalid (raised when a Scenario or ProtocolSpec is built)."""
+    """Invalid content: a scenario's (raised when a Scenario or ProtocolSpec
+    is built) or a value passed to a bound, envelope or output function."""
 

@@ -124,12 +124,15 @@ def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     if n < 1:
         raise TopologyError("topology needs at least one vertex")
     edges = list(edges)
-    # Object columns keep indices of any size exact for the range check.
-    cols = np.array(edges, dtype=object).reshape(-1, 3)
-    ends = cols[:, :2]
-    in_range = ((ends >= 0) & (ends < n) & (ends % 1 == 0)).all(axis=1)
-    a, b = np.where(in_range[:, None], ends, 0).astype(np.intp).T
-    w = cols[:, 2].astype(float)
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    # The index rows are int64 when every index fits; else float64 (a
+    # float index, or one below 2**64), whose rounding moves no index
+    # across [0, n); past that numpy keeps exact Python ints.
+    ends = np.array((i, j))
+    with np.errstate(invalid="ignore"):  # nan % 1 and inf % 1 are nan
+        in_range = ((ends >= 0) & (ends < n) & (ends % 1 == 0)).all(axis=0)
+    a, b = np.where(in_range, ends, 0).astype(np.intp)
+    w = np.array(w, dtype=float)
     self_loop = in_range & (a == b)
     # Only a repeat counts: np.unique gives the first position of each pair.
     repeat = np.ones(len(edges), dtype=bool)

@@ -8,11 +8,12 @@ import os
 from typing import Union
 
 from .engine import Trajectory
+from .errors import ValidationError
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     if not traj.t.size:
-        raise ValueError("trajectory has no samples")
+        raise ValidationError("trajectory has no samples")
     n = traj.x.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V1,V2,spread,sum"
     row = ",".join(["%.9g"] * (n + 5))

@@ -29,6 +29,10 @@ from .graph import topology_new
 from .protocols import ProtocolKind, ProtocolSpec
 
 _SECTION_RE = re.compile(r"^\[topology\.([A-Za-z0-9_]+)\]$")
+# str.splitlines' line breaks other than "\n".
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_BLANK_LINES_RE = re.compile(r"\n\n+")
 # `cyclic` is a separate last word: alone, or after whitespace or a comma.
 _CYCLIC_RE = re.compile(r"(?:^|[\s,])cyclic$")
 
@@ -63,6 +67,11 @@ def _parse_x0(value: str, lineno: int, key: str) -> list[float]:
     inner = value[1:-1]
     if not inner.strip():
         raise ScenarioSyntaxError(lineno, "x0 must not be empty")
+    try:
+        # float ignores the whitespace around an item and refuses an empty one.
+        return list(map(float, inner.split(",")))
+    except ValueError:
+        pass  # read item by item below, to name the fault
     return [_parse_float(s, lineno, "x0 entry") for s in _split_items(inner, lineno, "x0")]
 
 
@@ -96,52 +105,115 @@ _KEYS = {
 }
 
 
+def _read_line(line, lineno, section, values, topo_edges) -> str | None:
+    """Read one line into values or topo_edges; returns the section that
+    the next line is in."""
+    line = line.strip()
+    if not line:
+        return section
+    if section is not None and line.split(None, 1)[0] == "edge":
+        parts = line.split()
+        if len(parts) != 4:
+            raise ScenarioSyntaxError(lineno, "edge lines are: edge i j w")
+        try:
+            i, j = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ScenarioSyntaxError(lineno, "edge indices must be integers") from None
+        w = _parse_float(parts[3], lineno, "edge weight")
+        topo_edges[section].append((i, j, w))
+        return section
+    m = _SECTION_RE.match(line)
+    if m:
+        name = m.group(1)
+        if name in topo_edges:
+            raise ScenarioSyntaxError(lineno, f"duplicate topology section {name!r}")
+        topo_edges[name] = []
+        return name
+    if line.startswith("["):
+        raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
+    if "=" not in line:
+        raise ScenarioSyntaxError(lineno, f"expected key = value, got {line!r}")
+    key, value = (s.strip() for s in line.split("=", 1))
+    if key not in _KEYS:
+        raise ScenarioSyntaxError(lineno, f"unknown key {key!r}")
+    if key in values:
+        raise ScenarioSyntaxError(lineno, f"duplicate key {key!r}")
+    values[key] = _KEYS[key](value, lineno, key)
+    return None
+
+
+def _key_lines(body: str):
+    """Start and end of each line of body that holds a "=" or a "[", in
+    order. An edge line that holds either does not parse."""
+    hits = dict.fromkeys("=[", -1)
+    pos = 0
+    while True:
+        for c, at in hits.items():
+            if at < pos:
+                found = body.find(c, pos)
+                hits[c] = found if found >= 0 else len(body)
+        at = min(hits.values())
+        if at == len(body):
+            return
+        pos = body.index("\n", at)
+        yield body.rindex("\n", 0, at) + 1, pos
+
+
+def _read_edge_block(block: str, edges: list) -> bool:
+    """Append the edges of block (lines that each end in "\n") and return
+    True if every line is empty or an edge line that starts with "edge "
+    and that _read_line accepts; else append nothing and return False."""
+    block = f"\n{block}".rstrip("\n")
+    if "\n\n" in block:
+        block = _BLANK_LINES_RE.sub("\n", block)
+    words = block.split()
+    rows = len(words) // 4
+    # There are rows lines, each starting with "edge ". One that starts
+    # off words 0, 4, 8, ... puts its "edge" in a number column, which int
+    # or float refuses; so each line has four words.
+    if not (len(words) == 4 * rows and block.count("\n") == block.count("\nedge ") == rows):
+        return False
+    try:
+        i = list(map(int, words[1::4]))
+        j = list(map(int, words[2::4]))
+        w = list(map(float, words[3::4]))
+    except ValueError:
+        return False
+    edges.extend(zip(i, j, w))
+    return True
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Syntax problems raise ScenarioSyntaxError naming the first offending
     line; semantically invalid content raises ValidationError, mostly
     from the checks Scenario runs when it is built.
+
+    Lines are read one at a time by _read_line, except the lines between
+    two key or header lines inside a section: that block is read whole
+    by _read_edge_block, and line by line only if it fails.
     """
     values: dict[str, object] = {}
     topo_edges: dict[str, list[tuple[int, int, float]]] = {}
     section: str | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        # Edge lines come first: they are nearly all of a large file.
-        parts = line.split()
-        if section is not None and parts[0] == "edge":
-            if len(parts) != 4:
-                raise ScenarioSyntaxError(lineno, "edge lines are: edge i j w")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ScenarioSyntaxError(lineno, "edge indices must be integers") from None
-            w = _parse_float(parts[3], lineno, "edge weight")
-            topo_edges[section].append((i, j, w))
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            name = m.group(1)
-            if name in topo_edges:
-                raise ScenarioSyntaxError(lineno, f"duplicate topology section {name!r}")
-            topo_edges[name] = []
-            section = name
-            continue
-        if line.startswith("["):
-            raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
-        if "=" not in line:
-            raise ScenarioSyntaxError(lineno, f"expected key = value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KEYS:
-            raise ScenarioSyntaxError(lineno, f"unknown key {key!r}")
-        if key in values:
-            raise ScenarioSyntaxError(lineno, f"duplicate key {key!r}")
-        values[key] = _KEYS[key](value, lineno, key)
-        section = None
+    if any(c in text for c in _BREAKS):
+        text = "\n".join(text.splitlines())
+    # Dropping the comments keeps every line break, so line numbers stay.
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    # Each line between a "\n" before it and one after it.
+    body = f"\n{text}\n"
+    lineno, start = 1, 1
+    for key_start, key_end in [*_key_lines(body), (len(body), len(body))]:
+        block = body[start:key_start]
+        if section is None or not _read_edge_block(block, topo_edges[section]):
+            for k, line in enumerate(block.split("\n")[:-1]):
+                section = _read_line(line, lineno + k, section, values, topo_edges)
+        lineno += block.count("\n")
+        if key_start < len(body):
+            section = _read_line(body[key_start:key_end], lineno, section, values, topo_edges)
+            lineno, start = lineno + 1, key_end + 1
 
     for key in ("protocol", "x0"):
         if key not in values:

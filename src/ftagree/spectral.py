@@ -1,4 +1,5 @@
-"""Symmetric spectrum (LAPACK eigh via numpy) and algebraic connectivity."""
+"""Symmetric spectrum (LAPACK eigh via numpy) and algebraic connectivity
+(eigenvalues only, LAPACK eigvalsh)."""
 
 import math
 from dataclasses import dataclass
@@ -30,6 +31,13 @@ def eigenvalues_symmetric(m: np.ndarray) -> SpectrumResult:
     that does not fit in a double once scaled back, raises
     NumericalBlowup.
     """
+    return SpectrumResult(*_spectrum(m, vectors=True))
+
+
+def _spectrum(m, vectors: bool) -> tuple[np.ndarray, float | None]:
+    """Eigenvalues of m, ascending, and the residual of its eigenpairs
+    (None without vectors); see eigenvalues_symmetric. Without vectors
+    the solve is LAPACK's eigenvalue-only `eigvalsh`."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise NotSymmetric("input must be a non-empty square matrix")
@@ -41,24 +49,29 @@ def eigenvalues_symmetric(m: np.ndarray) -> SpectrumResult:
 
     exp = math.frexp(largest)[1]
     m = np.ldexp(m, -exp)
-    lam, v = np.linalg.eigh((m + m.T) / 2.0)
-    residual = float(np.abs(m @ v - v * lam).max())
+    residual = None
+    if vectors:
+        lam, v = np.linalg.eigh((m + m.T) / 2.0)
+        residual = math.ldexp(float(np.abs(m @ v - v * lam).max()), exp)
+    else:
+        lam = np.linalg.eigvalsh((m + m.T) / 2.0)
     with np.errstate(over="ignore"):
         lam = np.ldexp(lam, exp)
     if not np.all(np.isfinite(lam)):
         raise NumericalBlowup("non-finite eigenvalue: the spectrum overflows the float range")
-    return SpectrumResult(lam, math.ldexp(residual, exp))
+    return lam, residual
 
 
 def algebraic_connectivity(t: Topology) -> float:
     """Second smallest Laplacian eigenvalue; positive iff connected.
+    Taken from the eigenvalues alone (no eigenvectors, no residual).
 
     A single vertex is trivially in agreement, so its connectivity is
     reported as +inf.
     """
     if t.n == 1:
         return math.inf
-    return float(eigenvalues_symmetric(laplacian(t)).eigenvalues[1])
+    return float(_spectrum(laplacian(t), vectors=False)[0][1])
 
 
 def rayleigh_bound_check(t: Topology, x: np.ndarray) -> bool:

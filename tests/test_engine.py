@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -13,12 +14,16 @@ from ftagree import (
     complete_topology,
     conservation_drift,
     cycle_topology,
+    envelope,
     exponent_transform,
     integrate,
     integrate_batch,
     k1_constant,
     k2_constant,
+    lemma1_constant,
     path_topology,
+    scenario_bounds,
+    t1_bound,
     t2_bound,
     topology_at,
     topology_new,
@@ -28,12 +33,14 @@ from ftagree import (
 )
 from conftest import random_topology
 from ftagree.errors import (
+    FtagreeError,
     NumericalBlowup,
     ProtocolMismatch,
     TimeBeyondSchedule,
     UnknownTopologyId,
     ValidationError,
 )
+from ftagree.output import trajectory_csv_text
 
 EDGE = topology_new(2, [(0, 1, 1.0)])
 P2_HALF = ProtocolSpec(ProtocolKind.P2, 0.5)
@@ -311,6 +318,76 @@ class TestScenario:
         assert traj.status == "Converged"
         assert traj.final_value == pytest.approx(5.0 / 3.0)
 
+    def test_topologies_are_a_read_only_copy(self):
+        tops = {"P3": path_topology(3)}
+        sc = Scenario(protocol=P2_HALF, topologies=tops, topology="P3", x0=[0.0, 1.0, 4.0],
+                      t_max=6.0)
+        assert sc.topologies is not tops
+        with pytest.raises(TypeError):
+            sc.topologies["P3"] = path_topology(4)
+        # Swapping the caller's entry after the checks leaves the scenario valid.
+        tops["P3"] = path_topology(4)
+        assert sc.topologies["P3"].n == 3
+        traj = integrate(sc)
+        assert traj.status == "Converged"
+        assert traj.final_value == pytest.approx(5.0 / 3.0)
+
+
+def two_agent_time(protocol, w, d0, alpha, tol=0.0):
+    """Exact time at which two agents on one edge of weight w, d0 apart,
+    come within tol: d = x2 - x1 obeys d' = -2c sig(d)^alpha, with c = w
+    under P2 and w^alpha under P1, so |d|^(1-alpha) falls linearly."""
+    c = w if protocol is ProtocolKind.P2 else w ** alpha
+    return (abs(d0) ** (1 - alpha) - tol ** (1 - alpha)) / (2 * (1 - alpha) * c)
+
+
+TWO_AGENT_CASES = [
+    (kind, alpha, w, d0)
+    for kind in (ProtocolKind.P1, ProtocolKind.P2)
+    for alpha in (0.2, 0.5, 0.8)
+    for w, d0 in ((1.7, 3.0), (0.5, 1.0), (2.0, 7.0))
+]
+
+
+@pytest.fixture(scope="module")
+def two_agent_runs():
+    """Each case's scenario (dt 1e-3, agree_tol 1e-3) and trajectory."""
+    scenarios = [
+        Scenario(
+            protocol=ProtocolSpec(kind, alpha),
+            topologies={"G": topology_new(2, [(0, 1, w)])},
+            topology="G",
+            x0=[0.0, d0],
+            dt=1e-3,
+            t_max=round(two_agent_time(kind, w, d0, alpha) + 1.0, 3),
+            agree_tol=1e-3,
+            record_every=1000,
+        )
+        for kind, alpha, w, d0 in TWO_AGENT_CASES
+    ]
+    return list(zip(scenarios, integrate_batch(scenarios)))
+
+
+@pytest.mark.parametrize("case", range(len(TWO_AGENT_CASES)))
+def test_two_agents_agree_at_the_exact_time(two_agent_runs, case):
+    kind, alpha, w, d0 = TWO_AGENT_CASES[case]
+    sc, traj = two_agent_runs[case]
+    exact = two_agent_time(kind, w, d0, alpha)
+    # The spread is below agree_tol for the last tau of the exact run.
+    reached = two_agent_time(kind, w, d0, alpha, sc.agree_tol)
+    assert traj.status == "Converged"
+    assert reached - sc.dt <= traj.converged_at <= exact + sc.dt
+
+
+@pytest.mark.parametrize("case", range(len(TWO_AGENT_CASES)))
+def test_two_agent_bound_is_the_exact_time_times_a_constant(two_agent_runs, case):
+    # On two agents t1 (P1) and t2 (P2) are the exact time times 2^((1-alpha)/2).
+    kind, alpha, w, d0 = TWO_AGENT_CASES[case]
+    report = scenario_bounds(two_agent_runs[case][0])
+    bound = report.t1 if kind is ProtocolKind.P1 else report.t2
+    exact = two_agent_time(kind, w, d0, alpha)
+    assert bound == pytest.approx(exact * 2 ** ((1 - alpha) / 2), rel=1e-12, abs=0)
+
 
 COLUMNS = ("t", "x", "v1", "v2", "spread", "sum")
 
@@ -459,6 +536,24 @@ class TestIntegrateBatch:
 
     def test_empty_batch(self):
         assert integrate_batch([]) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda traj: lemma1_constant(0, 1.0),
+        lambda traj: t1_bound(-1.0, 1.0, 0.5),
+        lambda traj: envelope(1.0, 1.0, 0.5, -1.0),
+        lambda traj: verify_envelope(traj, 1.0, 1.0, 0.5, metric="v3"),
+        lambda traj: trajectory_csv_text(dataclasses.replace(traj, t=traj.t[:0])),
+    ],
+    ids=["lemma1_constant", "bound-args", "envelope", "verify_envelope", "csv"],
+)
+def test_bad_arguments_raise_a_package_error(call):
+    traj = integrate(two_agent_scenario(dt=0.01))
+    with pytest.raises(ValidationError) as exc:
+        call(traj)
+    assert isinstance(exc.value, FtagreeError)
 
 
 class TestLyapunovChecks:

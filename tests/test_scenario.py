@@ -3,9 +3,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ftagree import ProtocolKind, SwitchingSchedule, parse_scenario, render_scenario
-from ftagree.errors import ScenarioSyntaxError, ValidationError
+from ftagree import (
+    ProtocolKind,
+    ProtocolSpec,
+    Scenario,
+    SwitchingSchedule,
+    parse_scenario,
+    render_scenario,
+    topology_new,
+)
+from ftagree.errors import FtagreeError, ScenarioSyntaxError, TopologyError, ValidationError
+from ftagree.scenario import _KEYS
 
 MINIMAL = """\
 protocol = p2
@@ -216,3 +227,190 @@ class TestRoundTrip:
         sc = dataclasses.replace(sc, topologies={name: sc.topologies["G"]}, topology=name)
         with pytest.raises(ValidationError, match=re.escape(repr(name))):
             render_scenario(sc)
+
+
+# --- the bulk reader against the per-line reader it replaced --------------
+
+
+def reference_x0(value, lineno):
+    """x0 item by item, as the per-line reader read it."""
+    if not (value.startswith("[") and value.endswith("]")):
+        raise ScenarioSyntaxError(lineno, "x0 must be a bracketed comma list")
+    inner = value[1:-1]
+    if not inner.strip():
+        raise ScenarioSyntaxError(lineno, "x0 must not be empty")
+    items = [s.strip() for s in inner.split(",")]
+    if "" in items:
+        raise ScenarioSyntaxError(lineno, "x0 has an empty item")
+    return [reference_float(s, lineno, "x0 entry") for s in items]
+
+
+def reference_float(value, lineno, what):
+    try:
+        return float(value)
+    except ValueError:
+        raise ScenarioSyntaxError(lineno, f"bad {what}: {value!r}") from None
+
+
+def reference_parse(text):
+    """The per-line reader, kept as the oracle of parse_scenario: one
+    split, two int and one float per edge line, x0 item by item. Keys
+    other than x0 go through the module's readers, which it shares."""
+    values, topo_edges, section = {}, {}, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if section is not None and parts[0] == "edge":
+            if len(parts) != 4:
+                raise ScenarioSyntaxError(lineno, "edge lines are: edge i j w")
+            try:
+                i, j = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ScenarioSyntaxError(lineno, "edge indices must be integers") from None
+            topo_edges[section].append((i, j, reference_float(parts[3], lineno, "edge weight")))
+            continue
+        m = re.match(r"^\[topology\.([A-Za-z0-9_]+)\]$", line)
+        if m:
+            if m.group(1) in topo_edges:
+                raise ScenarioSyntaxError(lineno, f"duplicate topology section {m.group(1)!r}")
+            topo_edges[m.group(1)] = []
+            section = m.group(1)
+            continue
+        if line.startswith("["):
+            raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
+        if "=" not in line:
+            raise ScenarioSyntaxError(lineno, f"expected key = value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _KEYS:
+            raise ScenarioSyntaxError(lineno, f"unknown key {key!r}")
+        if key in values:
+            raise ScenarioSyntaxError(lineno, f"duplicate key {key!r}")
+        read = _KEYS[key] if key != "x0" else lambda v, n, k: reference_x0(v, n)
+        values[key] = read(value, lineno, key)
+        section = None
+
+    for key in ("protocol", "x0"):
+        if key not in values:
+            raise ValidationError(f"missing required key: {key}")
+    kind = values.pop("protocol")
+    if kind is not ProtocolKind.LINEAR and "alpha" not in values:
+        raise ValidationError("protocols p1/p2 require an alpha key")
+    alpha = {"alpha": values.pop("alpha")} if "alpha" in values else {}
+    try:
+        protocol = ProtocolSpec(kind, **alpha)
+    except FtagreeError as exc:
+        raise ValidationError(str(exc)) from exc
+    topologies = {}
+    for name, edges in topo_edges.items():
+        try:
+            topologies[name] = topology_new(len(values["x0"]), edges)
+        except TopologyError as exc:
+            raise ValidationError(f"topology {name!r}: {exc}") from exc
+    if "schedule" not in values and "topology" not in values and len(topologies) == 1:
+        values["topology"] = next(iter(topologies))
+    return Scenario(protocol=protocol, topologies=topologies, **values)
+
+
+def outcome(parse, text):
+    """What parse makes of text, in terms that compare with ==: the
+    scenario's fields, arrays as (dtype, shape, bytes), or the error."""
+    try:
+        sc = parse(text)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+
+    def exact(a):
+        return (a.dtype.str, a.shape, a.tobytes())
+
+    fields = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+    fields["x0"] = exact(sc.x0)
+    fields["topologies"] = {
+        name: (t.n, exact(t.i), exact(t.j), exact(t.w)) for name, t in sc.topologies.items()
+    }
+    return ("ok", fields)
+
+
+# Words an edge or x0 line may hold: good and bad numbers, underscores,
+# non-ASCII digits, indices past int64, nan and inf.
+INDEX_WORDS = ["0", "1", "2", "3", "01", "+1", "-1", "1_0", "1__0", "٣", "१",
+               str(2**63), str(2**64), "1.0", "a", "0x1", "edge"]
+WEIGHT_WORDS = ["1", "0.5", "2.0", "1e308", "nan", "inf", "-inf", "-1", "0", "-0.0", "1_0.5",
+                "١", "+1.5", "w", "0x1", "1e", "edge"]
+# Separators inside a line: space, tab, and other whitespace that
+# str.split splits on without ending the line.
+GAPS = [" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "　"]
+# str.splitlines' line breaks.
+BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", " "]
+OTHER_LINES = [
+    "", "", "   ", "\t", "# comment", "# edge 0 1 1", "  # edge 0 1", "edge", "edgewise 0 1 1",
+    "Edge 0 1 1", "1", "2 1", "foo", "= 1", "edge = 1", "edge 0 1 [1]", "[topology.G]", "[topology.H]",
+    "[topology.G", "dt = 0.01", "t_max = 1", "topology = G", "schedule = G:0.25, H:0.25 cyclic",
+    "x0 = [0, 1, 2, 3]", "x0 = [0, 1_0, ٢, 3]", "x0 = [0,, 1, 2]", "x0 = [0, nan, 1, 2]",
+    "x0 = [ 0 ,\t1,2\xa0, 3 ]", "x0 = [0, x, 1, 2]", "x0 = []", "alpha = 0.5", "protocol = p1",
+]
+
+
+@st.composite
+def edge_line(draw, i, j):
+    """Mostly the edge (i, j) with a good weight, written with odd spacing
+    or comments now and then; else an edge line of odd words."""
+    if draw(st.integers(0, 7)):
+        words = ["edge", str(i), str(j), draw(st.sampled_from(["1", "0.5", "2", "1.25"]))]
+    else:
+        count = draw(st.sampled_from([2, 3, 3, 4]))
+        words = ["edge"] + [draw(st.sampled_from(INDEX_WORDS)) for _ in range(count - 1)]
+        words.append(draw(st.sampled_from(WEIGHT_WORDS)))
+    line = words[0]
+    for word in words[1:]:
+        line += (draw(st.sampled_from(GAPS)) if not draw(st.integers(0, 5)) else " ") + word
+    if not draw(st.integers(0, 5)):
+        line = draw(st.sampled_from(GAPS)) + line
+    if not draw(st.integers(0, 5)):
+        line += draw(st.sampled_from(["  # edge 0 1 1", "#", " ", "\t"]))
+    return line
+
+
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@st.composite
+def scenario_texts(draw):
+    """Four agents and one to three sections of distinct edges, with a few
+    odd lines put in anywhere (a repeated section among them), and any
+    line break after each line."""
+    names = draw(st.lists(st.sampled_from("GHK"), min_size=1, max_size=3, unique=True))
+    lines = ["protocol = p2", "alpha = 0.5", "x0 = [0, 1, 2, 3]"]
+    if len(names) > 1:
+        lines.append(f"topology = {names[0]}")
+    for name in names:
+        lines.append(f"[topology.{name}]")
+        for i, j in draw(st.lists(st.sampled_from(PAIRS), unique=True, max_size=6)):
+            lines.append(draw(edge_line(*((j, i) if draw(st.booleans()) else (i, j)))))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        odd = st.one_of(st.sampled_from(OTHER_LINES), edge_line(1, 2))
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(BREAKS))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=scenario_texts())
+@example(text=MINIMAL + "edge 0 1 1\n")  # an edge line outside any section
+@example(text=MINIMAL.replace("\n", "\r\n"))
+@example(text=MINIMAL.replace("\n", " ") + "[topology.H]\x0c\x1cedge\t0\t1\t2\x0b")
+@example(text=MINIMAL.replace("edge 0 1 1", f"edge 0 {2**63} 1"))
+@example(text=MINIMAL.replace("edge 0 1 1", "edge 0 1_0 1 # edge 0 1 1\n\n#\nedge 1 0 inf"))
+@example(text=MINIMAL.replace("edge 0 1 1", "edge 0 1 nan"))
+@example(text=MINIMAL.replace("[0, 1]", "[ 1_0 ,\t٢\xa0]"))
+@example(text=MINIMAL.replace("[0, 1]", "[0, a]"))
+@example(text=MINIMAL.replace("[0, 1]", "[0,, 1]"))
+@example(text=MINIMAL.replace("edge 0 1 1", "edge 0 1\n1"))  # four words on two lines
+@example(text=MINIMAL.replace("edge 0 1 1", "edge 0 ١ 1 1"))
+@example(text=MINIMAL + "[topology.H]\n[topology.H]\n")
+def test_bulk_reader_matches_the_per_line_reader(text):
+    expected = outcome(reference_parse, text)
+    assert outcome(parse_scenario, text) == expected
