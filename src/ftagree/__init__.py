@@ -5,6 +5,8 @@ time, closed-form convergence bounds, a switching-topology RK4
 simulator, and tooling that reproduces the published six-agent example.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundsReport,
     DisagreementDecomposition,
@@ -58,5 +60,7 @@ from .spectral import (
     rayleigh_bound_check,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules stay out, so `import *` rebinds no caller's `graph`.
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

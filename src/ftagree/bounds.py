@@ -44,7 +44,7 @@ def lemma1_constant(n: int, p: float) -> float:
 
     For any nonnegative y: sum(y_i**p) >= m(n, p) * (sum(y_i))**p.
     """
-    if n < 1 or p <= 0:
+    if not (n >= 1 and p > 0):
         raise ValidationError(f"need n >= 1 and p > 0, got n={n}, p={p}")
     return min(float(n) ** (1.0 - p), 1.0)
 
@@ -79,10 +79,11 @@ def v2(x):
     return float(v) if x.ndim == 1 else v
 
 
-def _check_bound_args(v_0: float, lam2: float, alpha: Optional[float]) -> None:
-    if v_0 < 0:
+def _check_bound_args(v_0: Optional[float], lam2: float, alpha: Optional[float]) -> None:
+    # Each check is written so that NaN fails it.
+    if v_0 is not None and not v_0 >= 0:
         raise ValidationError(f"initial Lyapunov value must be >= 0, got {v_0}")
-    if lam2 <= 0:
+    if not lam2 > 0:
         raise DisconnectedTopology(f"algebraic connectivity must be > 0, got {lam2}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
@@ -161,11 +162,13 @@ def scenario_bounds(sc) -> BoundsReport:
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:
     """Decay constant for the protocol-1 envelope: (2 lam2)**((1+alpha)/2)."""
+    _check_bound_args(None, lambda2_A, alpha)
     return (2.0 * lambda2_A) ** ((1.0 + alpha) / 2.0)
 
 
 def k2_constant(lambda2_B: float, alpha: float) -> float:
     """Decay constant for the protocol-2 envelope: 2**alpha * lam2B**((1+alpha)/2)."""
+    _check_bound_args(None, lambda2_B, alpha)
     return 2.0 ** alpha * lambda2_B ** ((1.0 + alpha) / 2.0)
 
 
@@ -178,7 +181,7 @@ def envelope(v_0: float, K: float, alpha: float, t):
     by zero afterwards.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValidationError("time must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")

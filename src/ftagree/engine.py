@@ -53,8 +53,10 @@ class SwitchingSchedule:
         return sum(d for _, d in self.phases)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A checked run; frozen, so dataclasses.replace derives a variant."""
+
     protocol: ProtocolSpec
     topologies: Mapping[str, Topology]
     x0: np.ndarray
@@ -68,24 +70,24 @@ class Scenario:
     def __post_init__(self):
         """Reject invalid content: integrate and parse_scenario rely on this alone."""
         # A read-only copy: the caller's array cannot change x0 after the checks.
-        self.x0 = x0 = np.array(self.x0, dtype=float)
+        x0 = np.array(self.x0, dtype=float)
         x0.flags.writeable = False
         if x0.ndim != 1 or x0.size < 1:
             raise ValidationError("x0 must be a nonempty vector")
         if not np.all(np.isfinite(x0)):
             raise ValidationError("x0 must be finite")
         # A read-only copy too: the caller's dict cannot swap a topology in.
-        self.topologies = MappingProxyType(dict(self.topologies))
-        if not self.topologies:
+        topologies = MappingProxyType(dict(self.topologies))
+        if not topologies:
             raise ValidationError("scenario defines no topologies")
-        for name, top in self.topologies.items():
+        for name, top in topologies.items():
             if top.n != x0.size:
                 raise ValidationError(f"topology {name!r} has n={top.n}, x0 has {x0.size}")
         # The sum, V2 and V1 of a finite x0 can still overflow.
         with np.errstate(over="ignore", invalid="ignore"):
             totals = {"sum(x0)": float(x0.sum()), "V2(0)": bounds.v2(x0)}
             totals.update((f"V1(0) on topology {name!r}", bounds.v1(top, x0))
-                          for name, top in self.topologies.items())
+                          for name, top in topologies.items())
         for what, value in totals.items():
             if not math.isfinite(value):
                 raise ValidationError(f"{what} is not finite (overflow)")
@@ -99,27 +101,28 @@ class Scenario:
             raise ValidationError(
                 f"record_every must be an integer >= 1, got {self.record_every}"
             )
-        self.record_every = int(self.record_every)
         if (self.schedule is None) == (self.topology is None):
             raise ValidationError("scenario needs exactly one of: schedule, topology")
-        for name, _ in self.phases:
-            if name not in self.topologies:
-                raise ValidationError(f"unknown topology reference {name!r}")
-        if self.schedule is None:
-            return
+        # A fixed topology's one phase (dwell dt) is always one step.
         steps = []
-        for name, dwell in self.schedule.phases:
+        for name, dwell in self.phases:
+            if name not in topologies:
+                raise ValidationError(f"unknown topology reference {name!r}")
             n = dwell / self.dt
-            whole = math.isfinite(n) and abs(n - round(n)) <= 1e-6
-            if not whole or round(n) < 1:
+            if not (math.isfinite(n) and abs(n - round(n)) <= 1e-6 and round(n) >= 1):
                 raise ValidationError(
                     f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}"
                 )
             steps.append(round(n))
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "topologies", topologies)
+        object.__setattr__(self, "record_every", int(self.record_every))
+        if self.schedule is None:
+            return
         # Put every dwell exactly on the step grid, so that topology_at on
         # this schedule and integrate switch at the same step.
-        phases = tuple((name, n * self.dt) for (name, _), n in zip(self.schedule.phases, steps))
-        self.schedule = SwitchingSchedule(phases, self.schedule.cyclic)
+        phases = tuple((name, n * self.dt) for (name, _), n in zip(self.phases, steps))
+        object.__setattr__(self, "schedule", SwitchingSchedule(phases, self.schedule.cyclic))
         # Phases are half-open, and a run takes round(t_max/dt) steps (its
         # last sample is at that step, which is t_max only on the dt grid),
         # so the schedule must hold past that step.

@@ -64,14 +64,8 @@ class Topology:
     def _from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Topology":
         """Topology on edge arrays as topology_new leaves them: indices in
         range, no self-loops or repeated pairs, either orientation,
-        nonnegative weights. Rejects a non-finite weight (naming the first,
-        in the given order) and drops zero weights."""
-        bad = ~np.isfinite(w)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise TopologyError(
-                f"edge ({i[k]},{j[k]}) has weight {w[k]}: weights must be finite"
-            )
+        nonnegative weights. Drops zero weights; an infinite weight (an
+        overflowed exponent_transform) fails the degree-sum check."""
         keep = w > 0.0
         lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
         order = np.argsort(lo * n + hi)
@@ -137,7 +131,7 @@ def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     # Only a repeat counts: np.unique gives the first position of each pair.
     repeat = np.ones(len(edges), dtype=bool)
     repeat[np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)[1]] = False
-    bad = ~in_range | self_loop | (w < 0) | repeat
+    bad = ~in_range | self_loop | (w < 0) | repeat | ~np.isfinite(w)
     if bad.any():
         k = int(np.argmax(bad))
         i, j, wt = edges[k]
@@ -147,7 +141,9 @@ def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
             raise SelfLoop(f"edge ({i},{j}) is a self-loop at vertex {i}")
         if w[k] < 0:
             raise NegativeWeight(f"edge ({i},{j}) has negative weight {wt}")
-        raise DuplicateEdge(f"duplicate edge ({i},{j})")
+        if repeat[k]:
+            raise DuplicateEdge(f"duplicate edge ({i},{j})")
+        raise TopologyError(f"edge ({i},{j}) has weight {wt}: weights must be finite")
     return Topology._from_edges(n, a, b, w)
 
 

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedTopology, NotSymmetric, NotZeroSum, NumericalBlowup
+from .errors import (
+    DimensionMismatch,
+    DisconnectedTopology,
+    NotSymmetric,
+    NotZeroSum,
+    NumericalBlowup,
+)
 from .graph import Topology, laplacian
 
 
@@ -77,6 +83,8 @@ def algebraic_connectivity(t: Topology) -> float:
 def rayleigh_bound_check(t: Topology, x: np.ndarray) -> bool:
     """Check the Rayleigh inequality x'Lx >= lam2 x'x for zero-sum x."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (t.n,):
+        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
     scale_x = max(1.0, float(np.abs(x).sum()))
     if abs(float(x.sum())) > 1e-9 * scale_x:
         raise NotZeroSum("x must sum to zero")

@@ -21,7 +21,7 @@ from ftagree import (
     v2,
     algebraic_connectivity,
 )
-from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology
+from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, FtagreeError
 from conftest import dense_weights, random_connected_topology, random_edge_list, random_topology
 
 X0_SIX = np.array([-5.0, -3.0, 7.0, 9.0, 4.0, 5.0])
@@ -241,3 +241,24 @@ class TestEnvelope:
         assert type(vals[1]) is float
         with pytest.raises(ValueError):
             envelope(v0, K, a, np.array([1.0, -1e-300]))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (t1_bound, (1.0, math.nan, 0.5)),
+        (t2_bound, (math.nan, 1.0, 0.5)),
+        (t3_bound, (1.0, math.nan, 0.5)),
+        (t1_limit_alpha0, (math.nan, 1.0)),
+        (k1_constant, (-1.0, 0.5)),
+        (k2_constant, (-1.0, 0.5)),
+        (k1_constant, (1.0, math.nan)),
+        (lemma1_constant, (2, math.nan)),
+        (envelope, (1.0, 1.0, 0.5, math.nan)),
+    ],
+    ids=["t1", "t2", "t3", "t1_limit", "k1", "k2", "k1-alpha", "lemma1", "envelope"],
+)
+def test_nan_or_negative_arguments_raise_instead_of_returning(call, args):
+    # None of these may come back as nan or a complex number.
+    with pytest.raises(FtagreeError):
+        call(*args)

@@ -321,10 +321,13 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, command):
          "degree sums must be finite"),
         # V1(0) is 5e307 and accepted; the spectrum [0, 2e308] and the run overflow.
         ({"edge 0 1 1": "edge 0 1 1e308"}, "non-finite"),
+        # The first bad edge in list order is named, a non-finite weight too.
+        ({"[0, 1]": "[0, 1, 2]", "edge 0 1 1": "edge 0 1 nan\nedge 2 2 1"}, "edge (0,1)"),
     ],
     ids=[
         "t_max-inf", "dt-nan", "agree_tol-nan", "weight-inf", "weight-nan", "record_every-2.7",
         "sum-overflow", "v2-overflow", "v1-overflow", "degree-overflow", "spectrum-overflow",
+        "nan-before-self-loop",
     ],
 )
 def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, edits, named):

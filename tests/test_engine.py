@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import types
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftagree import (
     ProtocolKind,
@@ -332,6 +335,96 @@ class TestScenario:
         assert traj.status == "Converged"
         assert traj.final_value == pytest.approx(5.0 / 3.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_max", math.nan), ("dt", -1e-3), ("record_every", 0), ("topology", "nope"),
+         ("agree_tol", 0.0)],
+    )
+    def test_a_field_cannot_be_assigned(self, field, value):
+        # An assignment would skip the checks, and each of these values
+        # breaks a run; replace runs the checks again.
+        sc = two_agent_scenario(dt=1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sc, field, value)
+        assert integrate(sc).status == "Converged"
+        with pytest.raises(ValidationError):
+            dataclasses.replace(sc, **{field: value})
+
+    def test_the_first_faulty_phase_is_named(self):
+        sched = SwitchingSchedule(phases=(("G", 0.055), ("missing", 0.03)), cyclic=True)
+        with pytest.raises(ValidationError, match="^dwell 0.055 of phase 'G'"):
+            two_agent_scenario(topology=None, schedule=sched, dt=0.01)
+
+
+@st.composite
+def scenario_arguments(draw):
+    """Keyword arguments of a valid Scenario: n from 2 to 5, a fixed
+    topology or a 2-3 phase schedule, dt on a grid, at most 2,000 steps.
+    The topologies may be disconnected, and the protocol linear."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    topologies = {
+        name: topology_new(n, [(i, j, draw(st.floats(0.1, 5.0)))
+                               for i, j in draw(st.lists(st.sampled_from(pairs), unique=True))])
+        for name in "ABC"
+    }
+    kind = draw(st.sampled_from(ProtocolKind))
+    alpha = 1.0 if kind is ProtocolKind.LINEAR else draw(st.sampled_from([0.2, 0.5, 0.8]))
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    steps = draw(st.integers(1, 2000))
+    kw = dict(
+        protocol=ProtocolSpec(kind, alpha),
+        topologies=topologies,
+        x0=np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))),
+        dt=dt,
+        t_max=steps * dt,
+        agree_tol=draw(st.sampled_from([1e-2, 1e-4, 1e-6])),
+        record_every=draw(st.integers(1, 50)),
+    )
+    if draw(st.booleans()):
+        kw["topology"] = draw(st.sampled_from("ABC"))
+    else:
+        dwells = draw(st.lists(st.integers(1, 40), min_size=2, max_size=3))
+        phases = tuple((draw(st.sampled_from("ABC")), k * dt) for k in dwells)
+        # A schedule that is not cyclic must hold past the last step.
+        kw["schedule"] = SwitchingSchedule(phases, draw(st.booleans()) or sum(dwells) <= steps)
+    return kw
+
+
+def returned_or_none(call, *args):
+    """call(*args), or None where it raises an FtagreeError; any other
+    exception fails the test."""
+    try:
+        return call(*args)
+    except FtagreeError:
+        return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kw=scenario_arguments())
+def test_a_built_scenario_stays_valid(kw):
+    sc = Scenario(**kw)
+    x0 = sc.x0.copy()
+    # Write what the caller still holds, then try to assign every field.
+    kw["x0"][:] = np.nan
+    for name in "ABC":
+        kw["topologies"][name] = path_topology(x0.size + 1)
+    for f in dataclasses.fields(sc):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sc, f.name, None)
+    np.testing.assert_array_equal(sc.x0, x0)
+    assert all(top.n == x0.size for top in sc.topologies.values())
+
+    traj = returned_or_none(integrate, sc)
+    report = returned_or_none(scenario_bounds, sc)
+    if traj is not None and report is not None:
+        alpha = sc.protocol.alpha
+        if sc.protocol.kind is ProtocolKind.P1:
+            args = (report.v1_0, k1_constant(report.lambda2_A, alpha), alpha, "v1")
+        else:
+            args = (report.v2_0, k2_constant(report.lambda2_B, alpha), alpha, "v2")
+        returned_or_none(verify_envelope, traj, *args)
+
 
 def two_agent_time(protocol, w, d0, alpha, tol=0.0):
     """Exact time at which two agents on one edge of weight w, d0 apart,
@@ -351,7 +444,9 @@ TWO_AGENT_CASES = [
 
 @pytest.fixture(scope="module")
 def two_agent_runs():
-    """Each case's scenario (dt 1e-3, agree_tol 1e-3) and trajectory."""
+    """Each case's scenario and trajectory, by agree_tol, from one batch
+    (dt 1e-3): agree_tol 1e-3 runs to T + 1, agree_tol 1e-300 (which the
+    spread never reaches) to T + 0.5, recording every step."""
     scenarios = [
         Scenario(
             protocol=ProtocolSpec(kind, alpha),
@@ -359,19 +454,21 @@ def two_agent_runs():
             topology="G",
             x0=[0.0, d0],
             dt=1e-3,
-            t_max=round(two_agent_time(kind, w, d0, alpha) + 1.0, 3),
-            agree_tol=1e-3,
-            record_every=1000,
+            t_max=round(two_agent_time(kind, w, d0, alpha) + extra, 3),
+            agree_tol=tol,
+            record_every=every,
         )
+        for tol, extra, every in ((1e-3, 1.0, 1000), (1e-300, 0.5, 1))
         for kind, alpha, w, d0 in TWO_AGENT_CASES
     ]
-    return list(zip(scenarios, integrate_batch(scenarios)))
+    runs = list(zip(scenarios, integrate_batch(scenarios)))
+    return {1e-3: runs[:len(TWO_AGENT_CASES)], 1e-300: runs[len(TWO_AGENT_CASES):]}
 
 
 @pytest.mark.parametrize("case", range(len(TWO_AGENT_CASES)))
 def test_two_agents_agree_at_the_exact_time(two_agent_runs, case):
     kind, alpha, w, d0 = TWO_AGENT_CASES[case]
-    sc, traj = two_agent_runs[case]
+    sc, traj = two_agent_runs[1e-3][case]
     exact = two_agent_time(kind, w, d0, alpha)
     # The spread is below agree_tol for the last tau of the exact run.
     reached = two_agent_time(kind, w, d0, alpha, sc.agree_tol)
@@ -383,10 +480,32 @@ def test_two_agents_agree_at_the_exact_time(two_agent_runs, case):
 def test_two_agent_bound_is_the_exact_time_times_a_constant(two_agent_runs, case):
     # On two agents t1 (P1) and t2 (P2) are the exact time times 2^((1-alpha)/2).
     kind, alpha, w, d0 = TWO_AGENT_CASES[case]
-    report = scenario_bounds(two_agent_runs[case][0])
+    report = scenario_bounds(two_agent_runs[1e-3][case][0])
     bound = report.t1 if kind is ProtocolKind.P1 else report.t2
     exact = two_agent_time(kind, w, d0, alpha)
     assert bound == pytest.approx(exact * 2 ** ((1 - alpha) / 2), rel=1e-12, abs=0)
+
+
+# phi_alpha(h) = 1 at h*: one RK4 step of d' = -2c sig(d)^alpha maps d to
+# d * phi_alpha(h), with h = 2c dt |d|^(alpha-1).
+RK4_FIXED_POINT = {0.2: 5.2069, 0.5: 4.0573, 0.8: 3.0825}
+
+
+@pytest.mark.parametrize("case", range(len(TWO_AGENT_CASES)))
+def test_two_agent_spread_stalls_at_the_rk4_floor(two_agent_runs, case):
+    # Without a reachable agree_tol the spread chatters at the d where one
+    # RK4 step no longer shrinks it: d* = (2c dt / h*)^(1/(1-alpha)).
+    kind, alpha, w, d0 = TWO_AGENT_CASES[case]
+    sc, traj = two_agent_runs[1e-300][case]
+    c = w if kind is ProtocolKind.P2 else w ** alpha
+    floor = (2 * c * sc.dt / RK4_FIXED_POINT[alpha]) ** (1 / (1 - alpha))
+    spread = traj.spread[-200:].max()
+    if alpha < 0.8:
+        assert spread == pytest.approx(floor, rel=0.01)
+    else:
+        # This floor is near double resolution, at or below a few ulps of x.
+        ulps = 16 * np.spacing(np.abs(traj.x[-200:]).max())
+        assert spread <= max(1.25 * floor, ulps)
 
 
 COLUMNS = ("t", "x", "v1", "v2", "spread", "sum")
@@ -554,6 +673,16 @@ def test_bad_arguments_raise_a_package_error(call):
     with pytest.raises(ValidationError) as exc:
         call(traj)
     assert isinstance(exc.value, FtagreeError)
+
+
+def test_star_import_binds_no_submodule():
+    # A star import must not rebind a caller's `scenario` or `graph`.
+    namespace = {}
+    exec("from ftagree import *", namespace)
+    assert "Scenario" in namespace and "integrate" in namespace
+    assert {"graph", "scenario"}.isdisjoint(namespace)
+    public = {name: value for name, value in namespace.items() if not name.startswith("_")}
+    assert not [name for name, value in public.items() if isinstance(value, types.ModuleType)]
 
 
 class TestLyapunovChecks:

@@ -66,8 +66,9 @@ class TestTopologyNew:
             ([(0, 1, 1e308), (0, 2, 1e308)], TopologyError, "vertex 0"),
             # The first bad edge decides the error, whatever follows it.
             ([(0, 1, 1.0), (1, 0, 1.0), (0, 9, 1.0)], DuplicateEdge, "(1,0)"),
-            ([(0, 2, math.nan), (0, 1, -1.0)], NegativeWeight, "(0,1)"),
+            ([(0, 2, math.nan), (0, 1, -1.0)], TopologyError, "(0,2)"),
             ([(1, 2, -1.0), (1, 1, 1.0)], NegativeWeight, "(1,2)"),
+            ([(0, 1, math.nan), (1, 1, 1.0)], TopologyError, "(0,1)"),
         ],
     )
     def test_error_names_first_bad_edge(self, edges, error, named):

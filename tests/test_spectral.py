@@ -15,7 +15,7 @@ from ftagree import (
     rayleigh_bound_check,
     topology_new,
 )
-from ftagree.errors import NotSymmetric, NotZeroSum, NumericalBlowup
+from ftagree.errors import DimensionMismatch, NotSymmetric, NotZeroSum, NumericalBlowup
 from conftest import random_connected_topology, random_topology
 
 
@@ -160,3 +160,8 @@ class TestRayleighBound:
     def test_ones_rejected(self):
         with pytest.raises(NotZeroSum):
             rayleigh_bound_check(path_topology(3), np.ones(3))
+
+    def test_wrong_length_rejected(self):
+        # A state of the wrong length is refused as field and v1 refuse it.
+        with pytest.raises(DimensionMismatch):
+            rayleigh_bound_check(path_topology(3), [1.0, -1.0])
