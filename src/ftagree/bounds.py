@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, ValidationError
+from .errors import (AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, NumericalBlowup,
+                     ValidationError)
 from .graph import Topology, exponent_transform, is_connected
 from .protocols import ProtocolKind
 from .spectral import algebraic_connectivity
@@ -79,44 +80,47 @@ def v2(x):
     return float(v) if x.ndim == 1 else v
 
 
-def _check_bound_args(v_0: Optional[float], lam2: float, alpha: Optional[float]) -> None:
+def _check_bound_args(v_0: Optional[float], lam2: Optional[float], alpha: Optional[float],
+                      K: Optional[float] = None) -> None:
     # Each check is written so that NaN fails it.
-    if v_0 is not None and not v_0 >= 0:
-        raise ValidationError(f"initial Lyapunov value must be >= 0, got {v_0}")
-    if not lam2 > 0:
+    if v_0 is not None and not 0.0 <= v_0 < math.inf:
+        raise ValidationError(f"initial Lyapunov value must be finite and >= 0, got {v_0}")
+    if lam2 is not None and not lam2 > 0:
         raise DisconnectedTopology(f"algebraic connectivity must be > 0, got {lam2}")
+    if K is not None and not 0.0 < K < math.inf:
+        raise ValidationError(f"decay constant K must be finite and > 0, got {K}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
 
 
+def _settling_time(v_0: float, K: float, alpha: float) -> float:
+    """v_0**q/(qK), q = (1-alpha)/2: when dV/dt <= -K V**(1-q) brings V to zero."""
+    _check_bound_args(v_0, None, None)
+    q = (1.0 - alpha) / 2.0
+    t = v_0 ** q / (q * K) if 0.0 < q * K < math.inf else math.inf
+    if t == math.inf:
+        raise NumericalBlowup(f"time bound {v_0}**{q}/({q}*{K}) does not fit in a double")
+    return t
+
+
 def t1_bound(v1_0: float, lambda2_A: float, alpha: float) -> float:
-    """Convergence-time upper bound for protocol 1."""
-    _check_bound_args(v1_0, lambda2_A, alpha)
-    if v1_0 == 0.0:
-        return 0.0
-    return (2.0 * v1_0) ** ((1.0 - alpha) / 2.0) / (
-        (1.0 - alpha) * lambda2_A ** ((1.0 + alpha) / 2.0)
-    )
+    """Convergence-time upper bound for protocol 1: settling time at K1."""
+    return _settling_time(v1_0, k1_constant(lambda2_A, alpha), alpha)
 
 
 def t1_limit_alpha0(v1_0: float, lambda2_A: float) -> float:
-    """alpha -> 0 limit of the protocol-1 bound: sqrt(2 V1(0) / lam2)."""
-    _check_bound_args(v1_0, lambda2_A, None)
-    return math.sqrt(2.0 * v1_0 / lambda2_A)
+    """alpha -> 0 limit of the protocol-1 bound: sqrt(2 V1(0) / lam2), at K = sqrt(2 lam2)."""
+    _check_bound_args(None, lambda2_A, None)
+    return _settling_time(v1_0, math.sqrt(2.0 * lambda2_A), 0.0)
 
 
 def t2_bound(v2_0: float, lambda2_B: float, alpha: float) -> float:
-    """Convergence-time upper bound for protocol 2 (average agreement).
+    """Convergence-time upper bound for protocol 2 (average agreement): settling time at K2.
 
     lambda2_B is the algebraic connectivity of the exponent-transformed
     graph, b_ij = a_ij**(2/(1+alpha)).
     """
-    _check_bound_args(v2_0, lambda2_B, alpha)
-    if v2_0 == 0.0:
-        return 0.0
-    return 2.0 ** (1.0 - alpha) * v2_0 ** ((1.0 - alpha) / 2.0) / (
-        (1.0 - alpha) * lambda2_B ** ((1.0 + alpha) / 2.0)
-    )
+    return _settling_time(v2_0, k2_constant(lambda2_B, alpha), alpha)
 
 
 def t3_bound(v2_0: float, lambda_min: float, alpha: float) -> float:
@@ -178,15 +182,18 @@ def envelope(v_0: float, K: float, alpha: float, t):
 
     The base is clamped before exponentiation: the analytic bound is only
     stated before the hitting time, and clamping extends it continuously
-    by zero afterwards.
+    by zero afterwards. It is evaluated as v_0 * (1 - K q t / v_0**q)**(1/q),
+    whose base lies in [0, 1], so the power cannot overflow.
     """
+    _check_bound_args(v_0, None, alpha, K)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValidationError("time must be >= 0")
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
     q = (1.0 - alpha) / 2.0
-    base = np.maximum(v_0 ** q - K * q * t, 0.0)
+    # K q t may overflow (to inf), and v_0 = 0 divides by zero: fmax maps
+    # the -inf and the nan of 0/0 to a base of zero.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = np.fmax(1.0 - K * q * t / v_0 ** q, 0.0)
     if base.ndim == 0:
-        return float(base) ** (1.0 / q)
-    return base ** (1.0 / q)
+        return v_0 * float(base) ** (1.0 / q)
+    return v_0 * base ** (1.0 / q)

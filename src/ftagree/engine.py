@@ -53,9 +53,10 @@ class SwitchingSchedule:
         return sum(d for _, d in self.phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A checked run; frozen, so dataclasses.replace derives a variant."""
+    """A checked run; frozen, so dataclasses.replace derives a variant.
+    Equality is identity, so a Scenario can be a dict key."""
 
     protocol: ProtocolSpec
     topologies: Mapping[str, Topology]
@@ -219,8 +220,8 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     The loop only advances the state: on agreement a run snaps a copy of
     its block to the block mean, and it keeps a copy of its block at each
     step it records. The t, V1, V2, spread and sum columns are derived
-    from the kept rows afterwards. A running run whose state is not finite
-    raises NumericalBlowup naming its index.
+    from the kept rows afterwards. A running run whose state is not finite,
+    or whose V1, V2 or sum is not, raises NumericalBlowup naming its index.
     """
     groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
@@ -270,15 +271,25 @@ class _Run:
         t = np.array(ks) * sc.dt
         xs = np.array(states)
         tops = [sc.topologies[name] for name in self.names]
-        v1 = [bounds.v1(tops[p], xk) for p, xk in zip(phases, states)]
+        # A finite state can still overflow V1, V2 or the sum.
+        with np.errstate(over="ignore", invalid="ignore"):
+            v1 = np.array([bounds.v1(tops[p], xk) for p, xk in zip(phases, states)])
+            v2 = bounds.v2(xs)
+            total = xs.sum(axis=1)
+        finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(total)
+        if not finite.all():
+            raise NumericalBlowup(
+                f"V1, V2 or the state sum is not finite at t={t[np.argmin(finite)]} "
+                f"in run {self.index}"
+            )
         agreed = self.agreed
         return Trajectory(
             t=t,
             x=xs,
-            v1=np.array(v1),
-            v2=bounds.v2(xs),
+            v1=v1,
+            v2=v2,
             spread=xs.max(axis=1) - xs.min(axis=1),
-            sum=xs.sum(axis=1),
+            sum=total,
             status="Converged" if agreed else "TimedOut",
             converged_at=float(t[-1]) if agreed else None,
             final_value=float(xs[-1, 0]) if agreed else None,

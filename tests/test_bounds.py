@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftagree import (
     disagreement,
@@ -21,7 +24,13 @@ from ftagree import (
     v2,
     algebraic_connectivity,
 )
-from ftagree.errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, FtagreeError
+from ftagree.errors import (
+    AlphaOutOfRange,
+    DimensionMismatch,
+    DisconnectedTopology,
+    FtagreeError,
+    NumericalBlowup,
+)
 from conftest import dense_weights, random_connected_topology, random_edge_list, random_topology
 
 X0_SIX = np.array([-5.0, -3.0, 7.0, 9.0, 4.0, 5.0])
@@ -139,6 +148,11 @@ class TestT1Bound:
             t1_bound(1.0, 0.0, 0.5)
         with pytest.raises(AlphaOutOfRange):
             t1_bound(1.0, 1.0, 1.0)
+        # q K1 underflows to zero; 2 lam2, and so K1, overflows.
+        with pytest.raises(NumericalBlowup):
+            t1_bound(1.0, 5e-324, 0.99)
+        with pytest.raises(NumericalBlowup):
+            t1_bound(1.0, 1e308, 0.5)
 
     def test_diverges_as_alpha_to_one(self):
         vals = [t1_bound(5.0, 0.8, a) for a in (0.9, 0.99, 0.999)]
@@ -208,6 +222,9 @@ class TestT2T3Bounds:
             t2_bound(1.0, -1.0, 0.5)
         with pytest.raises(AlphaOutOfRange):
             t2_bound(1.0, 1.0, 0.0)
+        # The quotient V2(0)**q / (q K2) overflows.
+        with pytest.raises(NumericalBlowup):
+            t2_bound(1.0, 1e-310, 0.99)
 
 
 class TestEnvelope:
@@ -255,10 +272,44 @@ class TestEnvelope:
         (k1_constant, (1.0, math.nan)),
         (lemma1_constant, (2, math.nan)),
         (envelope, (1.0, 1.0, 0.5, math.nan)),
+        (envelope, (-1.0, 1.0, 0.5, 1.0)),
+        (envelope, (math.nan, 1.0, 0.5, 1.0)),
+        (envelope, (1.0, math.nan, 0.5, 1.0)),
+        (envelope, (1.0, -1.0, 0.5, 1.0)),
     ],
-    ids=["t1", "t2", "t3", "t1_limit", "k1", "k2", "k1-alpha", "lemma1", "envelope"],
+    ids=[
+        "t1", "t2", "t3", "t1_limit", "k1", "k2", "k1-alpha", "lemma1", "envelope",
+        "envelope-v0-negative", "envelope-v0-nan", "envelope-K-nan", "envelope-K-negative",
+    ],
 )
 def test_nan_or_negative_arguments_raise_instead_of_returning(call, args):
     # None of these may come back as nan or a complex number.
     with pytest.raises(FtagreeError):
         call(*args)
+
+
+# Each bound and the number of its scalar arguments (envelope then takes t).
+SCALAR_ARGS = {t1_bound: 3, t2_bound: 3, t3_bound: 3, t1_limit_alpha0: 2, envelope: 3}
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+# The largest double to the power q and back overflows.
+@example(call=envelope, args=[1.7976931348623157e308, 1.0, 0.5], t=[0.0, 1.0])
+@given(
+    call=st.sampled_from(list(SCALAR_ARGS)),
+    args=st.lists(st.floats(), min_size=3, max_size=3),
+    t=st.floats() | st.lists(st.floats(), max_size=3),
+)
+def test_bounds_of_any_floats_are_finite_or_refused(call, args, t):
+    args = args[:SCALAR_ARGS[call]] + ([t] if call is envelope else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = call(*args)
+        except FtagreeError:
+            return
+    if call is envelope and isinstance(t, list):
+        assert isinstance(got, np.ndarray) and got.shape == (len(t),)
+    else:
+        assert type(got) is float
+    assert np.all(np.isfinite(got)) and np.all(np.asarray(got) >= 0), (args, got)

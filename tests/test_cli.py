@@ -6,6 +6,7 @@ import math
 import re
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,61 @@ def test_non_finite_or_non_integer_input_exits_2(tmp_path, capsys, command, edit
     assert named in capsys.readouterr().err
 
 
+# P1 with alpha 0.99 on the path 0-1-2, every edge of weight W.
+TINY_WEIGHTS = """\
+protocol = p1
+alpha = 0.99
+x0 = [0, 1, 3]
+
+[topology.G]
+edge 0 1 W
+edge 1 2 W
+"""
+
+# The state stays finite, but V1 = w d^2 / 2 overflows from t = 0.03 on.
+HUGE_WEIGHT = """\
+protocol = p2
+alpha = 0.01
+x0 = [0, 1]
+dt = 0.01
+t_max = 0.2
+agree_tol = 1e-3
+record_every = 3
+
+[topology.G]
+edge 0 1 1e300
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("bounds", TINY_WEIGHTS.replace("W", "1e-310"), "does not fit in a double"),
+        ("bounds", TINY_WEIGHTS.replace("W", "5e-324"), "does not fit in a double"),
+        ("simulate", HUGE_WEIGHT, "V1, V2 or the state sum is not finite at t=0.03"),
+    ],
+    ids=["bound-overflows", "bound-rate-underflows", "v1-overflows"],
+)
+def test_overflow_past_the_scenario_checks_exits_2(tmp_path, capsys, command, text, named):
+    p = tmp_path / "s.scn"
+    p.write_text(text)
+    assert run_cli([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_readme_scenario_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    p = tmp_path / "readme.scn"
+    p.write_text(block)
+    for command in ("bounds", "spectral", "simulate"):
+        assert run_cli([command, str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "status = Converged\nconverged_at = 3.124000\n" in out
+
+
 def test_spectrum_of_a_weight_whose_square_overflows(tmp_path, capsys):
     # 1e160 squared overflows a double; an unscaled Jacobi solve printed the
     # diagonal [1e160, 1e160]. The power-of-two scaling around the solve is
@@ -359,6 +415,8 @@ def test_spectrum_of_a_weight_whose_square_overflows(tmp_path, capsys):
 # with a large dt it is a valid run of about 1e307 steps.
 BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "2.7", "x"]
 MALFORMED = ["edge 0", "[topology.", "x0 = [1,", "= 3", "frob = 1", "edge a b 1", "alpha = 1"]
+# Valid weights reach over- and underflow in the bounds and the run.
+WEIGHTS = ["1", "1e-30", "1e-310", "5e-324", "1e300"]
 BAD_REFERENCES = ["topology = H", "schedule = G:0.05, Z:0.05", "", "topology = G\nschedule = G:1"]
 FIELDS = [
     "protocol", "alpha", "x0", "dt", "t_max", "agree_tol", "record_every",
@@ -376,13 +434,14 @@ def scenario_texts(draw):
 
     n = draw(st.integers(1, 4))
     protocol = draw(st.sampled_from(["p1", "p2"]))
+    alpha = draw(st.sampled_from(["0.5", "0.01", "0.99"]))
     # A non-cyclic schedule must outlast t_max = 0.2; G:0.05, H:0.3 does.
     tail = draw(st.sampled_from(["0.03 cyclic", "0.03", "0.3"]))
     schedule = f"schedule = G:{value('dwell', '0.05')}, H:{tail}"
     reference = draw(st.sampled_from(["topology = G", schedule]))
     lines = [
         f"protocol = {value('protocol', protocol, ['linear', 'p3'])}",
-        f"alpha = {value('alpha', '0.5')}",
+        f"alpha = {value('alpha', alpha)}",
         "x0 = [" + ", ".join(value("x0", str(i)) for i in range(n)) + "]",
         f"dt = {value('dt', '0.01')}",
         f"t_max = {value('t_max', '0.2', [b for b in BAD if b != '1e308'])}",
@@ -392,7 +451,8 @@ def scenario_texts(draw):
     ]
     for name in ("G", "H"):
         lines.append(f"[topology.{name}]")
-        lines += [f"edge {i} {i + 1} {value('weight', '1')}" for i in range(n - 1)]
+        lines += [f"edge {i} {i + 1} {value('weight', draw(st.sampled_from(WEIGHTS)))}"
+                  for i in range(n - 1)]
     if "syntax" in broken:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
     return "\n".join(lines) + "\n"

@@ -269,6 +269,20 @@ class TestIntegrate:
         with pytest.raises(NumericalBlowup):
             integrate(sc)
 
+    def test_overflowing_lyapunov_values_of_a_finite_state_raise(self):
+        # The state stays finite (about 1e298 apart), but V1 = w d^2 / 2 does
+        # not fit in a double from the second recorded sample on.
+        sc = two_agent_scenario(
+            protocol=ProtocolSpec(ProtocolKind.P2, 0.01),
+            topologies={"G": topology_new(2, [(0, 1, 1e300)])},
+            dt=0.01,
+            t_max=0.2,
+            agree_tol=1e-3,
+            record_every=3,
+        )
+        with pytest.raises(NumericalBlowup, match=r"at t=0\.03 in run 0$"):
+            integrate(sc)
+
     def test_config_errors(self):
         with pytest.raises(ValidationError):
             integrate(two_agent_scenario(dt=-1.0))
@@ -424,6 +438,13 @@ def test_a_built_scenario_stays_valid(kw):
         else:
             args = (report.v2_0, k2_constant(report.lambda2_B, alpha), alpha, "v2")
         returned_or_none(verify_envelope, traj, *args)
+
+
+def test_a_scenario_equals_only_itself_and_is_hashable():
+    sc = two_agent_scenario()
+    assert sc == sc
+    assert sc != dataclasses.replace(sc)
+    assert {sc: 0}[sc] == 0
 
 
 def two_agent_time(protocol, w, d0, alpha, tol=0.0):
