@@ -218,10 +218,11 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     for bit.
 
     The loop only advances the state: on agreement a run snaps a copy of
-    its block to the block mean, and it keeps a copy of its block at each
-    step it records. The t, V1, V2, spread and sum columns are derived
-    from the kept rows afterwards. A running run whose state is not finite,
-    or whose V1, V2 or sum is not, raises NumericalBlowup naming its index.
+    its block to the block mean, and it keeps a copy of its block, with
+    its V1, V2 and sum, at each step it records. The t and spread columns
+    are derived from the kept rows afterwards. A running run whose state
+    is not finite, or whose kept V1, V2 or sum is not, raises
+    NumericalBlowup naming its index at that step.
     """
     groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
@@ -245,7 +246,7 @@ class _Run:
         self.phase = 0
         self.next_switch = self.dwells[0] if len(self.dwells) > 1 else math.inf
         self.next_event = 0  # step 0 is recorded
-        self.rows = []  # (step, phase, state) for every recorded step
+        self.rows = []  # (step, state, V1, V2, sum) for every recorded step
         self.agreed = self.done = False
 
     def step(self, k: int, x: np.ndarray, agreed: bool) -> None:
@@ -257,42 +258,41 @@ class _Run:
             self.phase = (self.phase + 1) % len(self.dwells)
             self.next_switch = k + self.dwells[self.phase]
         if agreed:
-            self.rows.append((k, self.phase, np.full(block.size, block.mean())))
+            self._keep(k, np.full(block.size, block.mean()))
         elif self.done or k % self.sc.record_every == 0:
-            self.rows.append((k, self.phase, block.copy()))
+            self._keep(k, block.copy())
         if self.done:
             return
         every = self.sc.record_every
         self.next_event = min(k - k % every + every, self.steps, self.next_switch)
 
-    def trajectory(self) -> Trajectory:
-        sc = self.sc
-        ks, phases, states = zip(*self.rows)
-        t = np.array(ks) * sc.dt
-        xs = np.array(states)
-        tops = [sc.topologies[name] for name in self.names]
-        # A finite state can still overflow V1, V2 or the sum.
-        with np.errstate(over="ignore", invalid="ignore"):
-            v1 = np.array([bounds.v1(tops[p], xk) for p, xk in zip(phases, states)])
-            v2 = bounds.v2(xs)
-            total = xs.sum(axis=1)
-        finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(total)
-        if not finite.all():
+    def _keep(self, k: int, state: np.ndarray) -> None:
+        """Keep the state of step k with its V1, V2 and sum; a finite
+        state can still overflow them, which ends the batch."""
+        top = self.sc.topologies[self.names[self.phase]]
+        row = (k, state, bounds.v1(top, state), bounds.v2(state), float(state.sum()))
+        if not all(map(math.isfinite, row[2:])):
             raise NumericalBlowup(
-                f"V1, V2 or the state sum is not finite at t={t[np.argmin(finite)]} "
+                f"V1, V2 or the state sum is not finite at t={k * self.sc.dt} "
                 f"in run {self.index}"
             )
+        self.rows.append(row)
+
+    def trajectory(self) -> Trajectory:
+        sc = self.sc
+        ks, states, v1, v2, total = map(np.array, zip(*self.rows))
+        t = ks * sc.dt
         agreed = self.agreed
         return Trajectory(
             t=t,
-            x=xs,
+            x=states,
             v1=v1,
             v2=v2,
-            spread=xs.max(axis=1) - xs.min(axis=1),
+            spread=states.max(axis=1) - states.min(axis=1),
             sum=total,
             status="Converged" if agreed else "TimedOut",
             converged_at=float(t[-1]) if agreed else None,
-            final_value=float(xs[-1, 0]) if agreed else None,
+            final_value=float(states[-1, 0]) if agreed else None,
             protocol=sc.protocol,
             dt=sc.dt,
         )

@@ -9,7 +9,7 @@ demand, for spectral work.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -115,10 +115,15 @@ def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     and are then dropped. An error names the first offending edge in
     list order.
     """
-    if n < 1:
-        raise TopologyError("topology needs at least one vertex")
     edges = list(edges)
     i, j, w = zip(*edges) if edges else ((), (), ())
+    return _topology_from_columns(n, i, j, w)
+
+
+def _topology_from_columns(n: int, i: Sequence, j: Sequence, w: Sequence) -> Topology:
+    """topology_new on the edge list zip(i, j, w), given as its columns."""
+    if n < 1:
+        raise TopologyError("topology needs at least one vertex")
     # The index rows are int64 when every index fits; else float64 (a
     # float index, or one below 2**64), whose rounding moves no index
     # across [0, n); past that numpy keeps exact Python ints.
@@ -126,25 +131,25 @@ def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     with np.errstate(invalid="ignore"):  # nan % 1 and inf % 1 are nan
         in_range = ((ends >= 0) & (ends < n) & (ends % 1 == 0)).all(axis=0)
     a, b = np.where(in_range, ends, 0).astype(np.intp)
-    w = np.array(w, dtype=float)
+    weights = np.array(w, dtype=float)
     self_loop = in_range & (a == b)
     # Only a repeat counts: np.unique gives the first position of each pair.
-    repeat = np.ones(len(edges), dtype=bool)
+    repeat = np.ones(len(w), dtype=bool)
     repeat[np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)[1]] = False
-    bad = ~in_range | self_loop | (w < 0) | repeat | ~np.isfinite(w)
+    bad = ~in_range | self_loop | (weights < 0) | repeat | ~np.isfinite(weights)
     if bad.any():
         k = int(np.argmax(bad))
-        i, j, wt = edges[k]
+        ik, jk, wk = i[k], j[k], w[k]
         if not in_range[k]:
-            raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
+            raise IndexOutOfRange(f"edge ({ik},{jk}) out of range for n={n}")
         if self_loop[k]:
-            raise SelfLoop(f"edge ({i},{j}) is a self-loop at vertex {i}")
-        if w[k] < 0:
-            raise NegativeWeight(f"edge ({i},{j}) has negative weight {wt}")
+            raise SelfLoop(f"edge ({ik},{jk}) is a self-loop at vertex {ik}")
+        if weights[k] < 0:
+            raise NegativeWeight(f"edge ({ik},{jk}) has negative weight {wk}")
         if repeat[k]:
-            raise DuplicateEdge(f"duplicate edge ({i},{j})")
-        raise TopologyError(f"edge ({i},{j}) has weight {wt}: weights must be finite")
-    return Topology._from_edges(n, a, b, w)
+            raise DuplicateEdge(f"duplicate edge ({ik},{jk})")
+        raise TopologyError(f"edge ({ik},{jk}) has weight {wk}: weights must be finite")
+    return Topology._from_edges(n, a, b, weights)
 
 
 def is_connected(t: Topology) -> bool:

@@ -25,7 +25,7 @@ from .errors import (
     TopologyError,
     ValidationError,
 )
-from .graph import topology_new
+from .graph import _topology_from_columns
 from .protocols import ProtocolKind, ProtocolSpec
 
 _SECTION_RE = re.compile(r"^\[topology\.([A-Za-z0-9_]+)\]$")
@@ -106,8 +106,8 @@ _KEYS = {
 
 
 def _read_line(line, lineno, section, values, topo_edges) -> str | None:
-    """Read one line into values or topo_edges; returns the section that
-    the next line is in."""
+    """Read one line into values or topo_edges (the i, j and w columns
+    of each section); returns the section that the next line is in."""
     line = line.strip()
     if not line:
         return section
@@ -120,14 +120,15 @@ def _read_line(line, lineno, section, values, topo_edges) -> str | None:
         except ValueError:
             raise ScenarioSyntaxError(lineno, "edge indices must be integers") from None
         w = _parse_float(parts[3], lineno, "edge weight")
-        topo_edges[section].append((i, j, w))
+        for column, value in zip(topo_edges[section], (i, j, w)):
+            column.append(value)
         return section
     m = _SECTION_RE.match(line)
     if m:
         name = m.group(1)
         if name in topo_edges:
             raise ScenarioSyntaxError(lineno, f"duplicate topology section {name!r}")
-        topo_edges[name] = []
+        topo_edges[name] = ([], [], [])
         return name
     if line.startswith("["):
         raise ScenarioSyntaxError(lineno, f"malformed section header: {line!r}")
@@ -159,10 +160,11 @@ def _key_lines(body: str):
         yield body.rindex("\n", 0, at) + 1, pos
 
 
-def _read_edge_block(block: str, edges: list) -> bool:
-    """Append the edges of block (lines that each end in "\n") and return
-    True if every line is empty or an edge line that starts with "edge "
-    and that _read_line accepts; else append nothing and return False."""
+def _read_edge_block(block: str, columns: tuple) -> bool:
+    """Append the i, j and w of each edge of block (lines that each end
+    in "\n") to columns and return True if every line is empty or an
+    edge line that starts with "edge " and that _read_line accepts; else
+    append nothing and return False."""
     block = f"\n{block}".rstrip("\n")
     if "\n\n" in block:
         block = _BLANK_LINES_RE.sub("\n", block)
@@ -179,7 +181,8 @@ def _read_edge_block(block: str, edges: list) -> bool:
         w = list(map(float, words[3::4]))
     except ValueError:
         return False
-    edges.extend(zip(i, j, w))
+    for column, values in zip(columns, (i, j, w)):
+        column.extend(values)
     return True
 
 
@@ -195,7 +198,7 @@ def parse_scenario(text: str) -> Scenario:
     by _read_edge_block, and line by line only if it fails.
     """
     values: dict[str, object] = {}
-    topo_edges: dict[str, list[tuple[int, int, float]]] = {}
+    topo_edges: dict[str, tuple[list[int], list[int], list[float]]] = {}
     section: str | None = None
     if any(c in text for c in _BREAKS):
         text = "\n".join(text.splitlines())
@@ -229,9 +232,9 @@ def parse_scenario(text: str) -> Scenario:
 
     n = len(values["x0"])
     topologies = {}
-    for name, edges in topo_edges.items():
+    for name, columns in topo_edges.items():
         try:
-            topologies[name] = topology_new(n, edges)
+            topologies[name] = _topology_from_columns(n, *columns)
         except TopologyError as exc:
             raise ValidationError(f"topology {name!r}: {exc}") from exc
 

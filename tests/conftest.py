@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,19 @@ def dense_weights(n, edges):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn runs, above
+    what was allocated before; numpy reports its buffers to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -35,6 +35,7 @@ from ftagree import (
     verify_envelope,
 )
 from conftest import random_topology
+from ftagree import engine
 from ftagree.errors import (
     FtagreeError,
     NumericalBlowup,
@@ -44,6 +45,7 @@ from ftagree.errors import (
     ValidationError,
 )
 from ftagree.output import trajectory_csv_text
+from ftagree.protocols import edge_field
 
 EDGE = topology_new(2, [(0, 1, 1.0)])
 P2_HALF = ProtocolSpec(ProtocolKind.P2, 0.5)
@@ -282,6 +284,31 @@ class TestIntegrate:
         )
         with pytest.raises(NumericalBlowup, match=r"at t=0\.03 in run 0$"):
             integrate(sc)
+
+    def test_an_overflowing_lyapunov_value_ends_the_run_when_recorded(self, monkeypatch):
+        # The same run with t_max = 200 has 20,000 steps; it must stop at
+        # the sample where V1 overflows, not after its last step.
+        calls = []
+
+        def counting_field(*args):
+            f = edge_field(*args)
+
+            def counted(x):
+                calls.append(None)
+                return f(x)
+            return counted
+
+        monkeypatch.setattr(engine, "edge_field", counting_field)
+        sc = two_agent_scenario(
+            protocol=ProtocolSpec(ProtocolKind.P2, 0.01),
+            topologies={"G": topology_new(2, [(0, 1, 1e300)])},
+            dt=0.01,
+            t_max=200.0,
+            record_every=3,
+        )
+        with pytest.raises(NumericalBlowup, match=r"at t=0\.03 in run 0$"):
+            integrate(sc)
+        assert 0 < len(calls) < 100
 
     def test_config_errors(self):
         with pytest.raises(ValidationError):
