@@ -69,15 +69,10 @@ def disagreement(x) -> DisagreementDecomposition:
     return DisagreementDecomposition(kappa, x - kappa)
 
 
-def v2(x):
-    """Disagreement energy: half the squared norm of x minus its mean.
-    A float for one state, an array of row values for a stack (m×n)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] < 1:
-        raise DimensionMismatch("state must be a nonempty vector or a stack of them")
-    d = x - x.mean(axis=-1, keepdims=True)
-    v = 0.5 * (d * d).sum(axis=-1)
-    return float(v) if x.ndim == 1 else v
+def v2(x) -> float:
+    """Disagreement energy: half the squared norm of x minus its mean."""
+    d = disagreement(x).delta
+    return float(0.5 * (d * d).sum())
 
 
 def _check_bound_args(v_0: Optional[float], lam2: Optional[float], alpha: Optional[float],

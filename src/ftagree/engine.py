@@ -70,6 +70,8 @@ class Scenario:
 
     def __post_init__(self):
         """Reject invalid content: integrate and parse_scenario rely on this alone."""
+        if not isinstance(self.protocol, ProtocolSpec):
+            raise ValidationError(f"protocol must be a ProtocolSpec, got {self.protocol!r}")
         # A read-only copy: the caller's array cannot change x0 after the checks.
         x0 = np.array(self.x0, dtype=float)
         x0.flags.writeable = False

@@ -29,10 +29,6 @@ from .graph import _topology_from_columns
 from .protocols import ProtocolKind, ProtocolSpec
 
 _SECTION_RE = re.compile(r"^\[topology\.([A-Za-z0-9_]+)\]$")
-# str.splitlines' line breaks other than "\n".
-_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_COMMENT_RE = re.compile(r"#[^\n]*")
-_BLANK_LINES_RE = re.compile(r"\n\n+")
 # `cyclic` is a separate last word: alone, or after whitespace or a comma.
 _CYCLIC_RE = re.compile(r"(?:^|[\s,])cyclic$")
 
@@ -143,37 +139,17 @@ def _read_line(line, lineno, section, values, topo_edges) -> str | None:
     return None
 
 
-def _key_lines(body: str):
-    """Start and end of each line of body that holds a "=" or a "[", in
-    order. An edge line that holds either does not parse."""
-    hits = dict.fromkeys("=[", -1)
-    pos = 0
-    while True:
-        for c, at in hits.items():
-            if at < pos:
-                found = body.find(c, pos)
-                hits[c] = found if found >= 0 else len(body)
-        at = min(hits.values())
-        if at == len(body):
-            return
-        pos = body.index("\n", at)
-        yield body.rindex("\n", 0, at) + 1, pos
-
-
-def _read_edge_block(block: str, columns: tuple) -> bool:
-    """Append the i, j and w of each edge of block (lines that each end
-    in "\n") to columns and return True if every line is empty or an
-    edge line that starts with "edge " and that _read_line accepts; else
-    append nothing and return False."""
-    block = f"\n{block}".rstrip("\n")
-    if "\n\n" in block:
-        block = _BLANK_LINES_RE.sub("\n", block)
+def _read_edge_block(lines: list[str], columns: tuple) -> bool:
+    """Append the i, j and w of each edge of lines to columns and return
+    True if every line is empty or an edge line that starts with "edge "
+    and that _read_line accepts; else append nothing and return False."""
+    block = "\n".join(lines)
     words = block.split()
-    rows = len(words) // 4
+    rows = len(lines) - lines.count("")
     # There are rows lines, each starting with "edge ". One that starts
     # off words 0, 4, 8, ... puts its "edge" in a number column, which int
     # or float refuses; so each line has four words.
-    if not (len(words) == 4 * rows and block.count("\n") == block.count("\nedge ") == rows):
+    if not (len(words) == 4 * rows and f"\n{block}".count("\nedge ") == rows):
         return False
     try:
         i = list(map(int, words[1::4]))
@@ -194,29 +170,28 @@ def parse_scenario(text: str) -> Scenario:
     from the checks Scenario runs when it is built.
 
     Lines are read one at a time by _read_line, except the lines between
-    two key or header lines inside a section: that block is read whole
-    by _read_edge_block, and line by line only if it fails.
+    two key or header lines inside a section: that run is read whole by
+    _read_edge_block, and line by line only if it fails.
     """
     values: dict[str, object] = {}
     topo_edges: dict[str, tuple[list[int], list[int], list[float]]] = {}
     section: str | None = None
-    if any(c in text for c in _BREAKS):
-        text = "\n".join(text.splitlines())
-    # Dropping the comments keeps every line break, so line numbers stay.
+    lines = text.splitlines()
+    # Dropping a comment keeps its line, so line k is still number k + 1.
     if "#" in text:
-        text = _COMMENT_RE.sub("", text)
-    # Each line between a "\n" before it and one after it.
-    body = f"\n{text}\n"
-    lineno, start = 1, 1
-    for key_start, key_end in [*_key_lines(body), (len(body), len(body))]:
-        block = body[start:key_start]
-        if section is None or not _read_edge_block(block, topo_edges[section]):
-            for k, line in enumerate(block.split("\n")[:-1]):
-                section = _read_line(line, lineno + k, section, values, topo_edges)
-        lineno += block.count("\n")
-        if key_start < len(body):
-            section = _read_line(body[key_start:key_end], lineno, section, values, topo_edges)
-            lineno, start = lineno + 1, key_end + 1
+        lines = [line.split("#", 1)[0] for line in lines]
+    # The key and header lines; an edge line that holds a "=" or a "["
+    # does not parse.
+    keys = [k for k, line in enumerate(lines) if "=" in line or "[" in line]
+    start = 0
+    for stop in [*keys, len(lines)]:
+        run = lines[start:stop]
+        if section is None or not _read_edge_block(run, topo_edges[section]):
+            for k, line in enumerate(run, start):
+                section = _read_line(line, k + 1, section, values, topo_edges)
+        if stop < len(lines):
+            section = _read_line(lines[stop], stop + 1, section, values, topo_edges)
+        start = stop + 1
 
     for key in ("protocol", "x0"):
         if key not in values:

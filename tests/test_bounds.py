@@ -119,8 +119,8 @@ class TestDisagreement:
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
-        rows = np.array([X0_SIX, 5.0 * np.ones(6), X0_SIX[::-1] + 1e3])
-        assert v2(rows).tolist() == [v2(x) for x in rows]
+        with pytest.raises(DimensionMismatch):
+            v2(np.array([X0_SIX, 5.0 * np.ones(6)]))
 
     def test_constant(self):
         assert v2(5.0 * np.ones(3)) == 0.0

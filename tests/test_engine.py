@@ -335,6 +335,12 @@ class TestScenario:
         assert sc.phases == (("G", 5 * 0.01), ("H", 3 * 0.01))
         assert sc.phases == sc.schedule.phases
 
+    @pytest.mark.parametrize("protocol", ["p2", ProtocolKind.P2, None, (ProtocolKind.P2, 0.5)],
+                             ids=["name", "kind", "none", "tuple"])
+    def test_a_protocol_that_is_no_protocol_spec_is_refused(self, protocol):
+        with pytest.raises(ValidationError, match="^protocol must be a ProtocolSpec"):
+            two_agent_scenario(protocol=protocol, dt=0.01)
+
     @pytest.mark.parametrize("where", ["topology", "schedule"])
     def test_unknown_name_has_one_message(self, where):
         sched = SwitchingSchedule(phases=(("G", 0.05), ("missing", 0.03)), cyclic=True)
@@ -399,9 +405,11 @@ class TestScenario:
 
 @st.composite
 def scenario_arguments(draw):
-    """Keyword arguments of a valid Scenario: n from 2 to 5, a fixed
-    topology or a 2-3 phase schedule, dt on a grid, at most 2,000 steps.
-    The topologies may be disconnected, and the protocol linear."""
+    """Keyword arguments of a Scenario: n from 2 to 5, a fixed topology or
+    a 2-3 phase schedule, dt on a grid, at most 2,000 steps. The
+    topologies may be disconnected, and the protocol linear. Now and then
+    the protocol is its kind's name, not a ProtocolSpec, which Scenario
+    refuses."""
     n = draw(st.integers(2, 5))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     topologies = {
@@ -414,7 +422,7 @@ def scenario_arguments(draw):
     dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
     steps = draw(st.integers(1, 2000))
     kw = dict(
-        protocol=ProtocolSpec(kind, alpha),
+        protocol=ProtocolSpec(kind, alpha) if draw(st.integers(0, 9)) else kind.value,
         topologies=topologies,
         x0=np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))),
         dt=dt,
@@ -444,6 +452,10 @@ def returned_or_none(call, *args):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(kw=scenario_arguments())
 def test_a_built_scenario_stays_valid(kw):
+    if not isinstance(kw["protocol"], ProtocolSpec):
+        with pytest.raises(ValidationError):
+            Scenario(**kw)
+        return
     sc = Scenario(**kw)
     x0 = sc.x0.copy()
     # Write what the caller still holds, then try to assign every field.
@@ -614,7 +626,7 @@ def reference_integrate(sc):
         t=t,
         x=xs,
         v1=np.array([v1(tops[phase(k)], xk) for k, xk in rows]),
-        v2=v2(xs),
+        v2=np.array([v2(xk) for _, xk in rows]),
         spread=xs.max(axis=1) - xs.min(axis=1),
         sum=xs.sum(axis=1),
         status="Converged" if agreed else "TimedOut",

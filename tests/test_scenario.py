@@ -16,6 +16,7 @@ from ftagree import (
     topology_new,
 )
 from ftagree.errors import FtagreeError, ScenarioSyntaxError, TopologyError, ValidationError
+import ftagree.scenario
 from ftagree.scenario import _KEYS
 
 MINIMAL = """\
@@ -411,6 +412,26 @@ def scenario_texts(draw):
 @example(text=MINIMAL.replace("edge 0 1 1", "edge 0 1\n1"))  # four words on two lines
 @example(text=MINIMAL.replace("edge 0 1 1", "edge 0 ١ 1 1"))
 @example(text=MINIMAL + "[topology.H]\n[topology.H]\n")
+# A whitespace-only and a comment-only line inside a run of edge lines.
+@example(text=MINIMAL.replace("[0, 1]", "[0, 1, 2]").replace(
+    "edge 0 1 1", "edge 0 1 1\n \t\n# a comment\nedge 1 2 1"))
+@example(text=MINIMAL.replace("edge 0 1 1", "edge 0 1 1  # w = [1]"))
 def test_bulk_reader_matches_the_per_line_reader(text):
     expected = outcome(reference_parse, text)
     assert outcome(parse_scenario, text) == expected
+
+
+def test_edge_lines_take_the_block_read(monkeypatch):
+    # The per-line reader gives the same result, so only a spy sees
+    # whether a run of edge lines, one with a comment holding "=", skipped it.
+    text = SIX_AGENT_SWITCHING.replace("edge 2 3 2\n", "edge 2 3 2  # w = 2\n", 1)
+    seen, original = [], ftagree.scenario._read_line
+
+    def read_line(line, *args):
+        seen.append(line)
+        return original(line, *args)
+
+    monkeypatch.setattr(ftagree.scenario, "_read_line", read_line)
+    assert outcome(parse_scenario, text) == outcome(parse_scenario, SIX_AGENT_SWITCHING)
+    assert "protocol = p2" in seen
+    assert not [line for line in seen if line.lstrip().startswith("edge")]
