@@ -9,8 +9,6 @@ from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundsReport,
-    DisagreementDecomposition,
-    disagreement,
     envelope,
     k1_constant,
     k2_constant,
@@ -31,7 +29,6 @@ from .engine import (
     conservation_drift,
     integrate,
     integrate_batch,
-    topology_at,
     verify_envelope,
 )
 from .graph import (
@@ -48,7 +45,6 @@ from .protocols import (
     ProtocolKind,
     ProtocolSpec,
     field,
-    is_equilibrium,
     sig,
 )
 from .reconstruct import reconstruct_paper_graph
@@ -57,7 +53,6 @@ from .spectral import (
     SpectrumResult,
     algebraic_connectivity,
     eigenvalues_symmetric,
-    rayleigh_bound_check,
 )
 
 # The submodules stay out, so `import *` rebinds no caller's `graph`.

@@ -19,14 +19,6 @@ from .spectral import algebraic_connectivity
 
 
 @dataclass(frozen=True)
-class DisagreementDecomposition:
-    """x = kappa * ones + delta with delta summing to zero."""
-
-    kappa: float
-    delta: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     v1_0: float
     v2_0: float
@@ -60,18 +52,12 @@ def v1(t: Topology, x) -> float:
     return float((t.w * d * d).sum() / 2.0)
 
 
-def disagreement(x) -> DisagreementDecomposition:
-    """Split a state into its average and the zero-sum disagreement part."""
+def v2(x) -> float:
+    """Disagreement energy: half the squared norm of x minus its mean."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise DimensionMismatch("state must be a nonempty vector")
-    kappa = float(x.mean())
-    return DisagreementDecomposition(kappa, x - kappa)
-
-
-def v2(x) -> float:
-    """Disagreement energy: half the squared norm of x minus its mean."""
-    d = disagreement(x).delta
+    d = x - float(x.mean())
     return float(0.5 * (d * d).sum())
 
 

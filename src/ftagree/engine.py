@@ -10,20 +10,13 @@ solution. Integration is forward-time only and fully deterministic.
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds
-from .errors import (
-    NumericalBlowup,
-    ProtocolMismatch,
-    TimeBeyondSchedule,
-    UnknownTopologyId,
-    ValidationError,
-)
+from .errors import NumericalBlowup, ProtocolMismatch, ValidationError
 from .graph import Topology
 from .protocols import ProtocolKind, ProtocolSpec, edge_field
 
@@ -122,8 +115,8 @@ class Scenario:
         object.__setattr__(self, "record_every", int(self.record_every))
         if self.schedule is None:
             return
-        # Put every dwell exactly on the step grid, so that topology_at on
-        # this schedule and integrate switch at the same step.
+        # Snap every dwell onto the step grid, so that the dwells this
+        # schedule reports lie on the grid that integrate switches on.
         phases = tuple((name, n * self.dt) for (name, _), n in zip(self.phases, steps))
         object.__setattr__(self, "schedule", SwitchingSchedule(phases, self.schedule.cyclic))
         # Phases are half-open, and a run takes round(t_max/dt) steps (its
@@ -167,31 +160,6 @@ class Trajectory:
         """Read-only rows, rebuilt on each access. Kept only because
         perfbench/tracing.py reads samples[-1].t and len(samples)."""
         return list(map(Sample, self.t, self.x, self.v1, self.v2, self.spread, self.sum))
-
-
-def topology_at(
-    s: SwitchingSchedule, topologies: Mapping[str, Topology], t: float
-) -> Topology:
-    """Topology active at time t; half-open phase intervals [start, start+dwell)."""
-    if not 0 <= t < math.inf:
-        raise TimeBeyondSchedule(f"time must be finite and >= 0, got {t}")
-    period = s.period
-    if s.cyclic:
-        r = math.fmod(t, period)
-    else:
-        if t >= period:
-            raise TimeBeyondSchedule(f"t={t} beyond non-cyclic schedule of {period}")
-        r = t
-    # Snap times that are a roundoff shy of a boundary into the new phase,
-    # by far less than the shortest dwell.
-    dwells = [d for _, d in s.phases]
-    eps = min(1e-9 * max(1.0, period), 1e-6 * min(dwells))
-    # Phase i holds [ends[i-1], ends[i]); r at or past the last end wraps to phase 0.
-    ends = [end - eps for end in accumulate(dwells)]
-    name = s.phases[np.searchsorted(ends, r, side="right") % len(ends)][0]
-    if name not in topologies:
-        raise UnknownTopologyId(name)
-    return topologies[name]
 
 
 def integrate(sc: Scenario) -> Trajectory:

@@ -41,23 +41,11 @@ class NotSymmetric(FtagreeError, ValueError):
     pass
 
 
-class NotZeroSum(FtagreeError, ValueError):
-    pass
-
-
 class ProtocolMismatch(FtagreeError):
     pass
 
 
 class NumericalBlowup(FtagreeError, RuntimeError):
-    pass
-
-
-class TimeBeyondSchedule(FtagreeError, ValueError):
-    pass
-
-
-class UnknownTopologyId(FtagreeError, KeyError):
     pass
 
 

@@ -99,13 +99,6 @@ class Topology:
         """Unordered edge list (i < j, positive weight), sorted by (i, j)."""
         return list(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
-    def neighbors(self, i: int) -> list[int]:
-        """Neighbours of vertex i, ascending."""
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"vertex {i} out of range for n={self.n}")
-        # Edges are sorted by (i, j): the lower neighbours come first.
-        return np.concatenate((self.i[self.j == i], self.j[self.i == i])).tolist()
-
 
 def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
     """Build a Topology from an explicit edge list.

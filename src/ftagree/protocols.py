@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, ValidationError
-from .graph import Topology, is_connected
+from .errors import AlphaOutOfRange, DimensionMismatch, ValidationError
+from .graph import Topology
 
 
 class ProtocolKind(str, Enum):
@@ -96,16 +96,3 @@ def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
     if x.shape != (t.n,):
         raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
     return edge_field(spec, t.i, t.j, t.w, t.n)(x)
-
-
-def is_equilibrium(t: Topology, x, p: ProtocolSpec, tol: float) -> bool:
-    """Whether the vector field vanishes (inf-norm <= tol) at x.
-
-    Only meaningful on connected graphs, where the equilibria are exactly
-    the agreement states; disconnected input is refused so the result is
-    never misread as agreement.
-    """
-    if not is_connected(t):
-        raise DisconnectedTopology("equilibrium test requires a connected graph")
-    u = field(p, t, x)
-    return float(np.abs(u).max()) <= tol

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DisconnectedTopology,
-    NotSymmetric,
-    NotZeroSum,
-    NumericalBlowup,
-)
+from .errors import NotSymmetric, NumericalBlowup
 from .graph import Topology, laplacian
 
 
@@ -78,21 +72,3 @@ def algebraic_connectivity(t: Topology) -> float:
     if t.n == 1:
         return math.inf
     return float(_spectrum(laplacian(t), vectors=False)[0][1])
-
-
-def rayleigh_bound_check(t: Topology, x: np.ndarray) -> bool:
-    """Check the Rayleigh inequality x'Lx >= lam2 x'x for zero-sum x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (t.n,):
-        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
-    scale_x = max(1.0, float(np.abs(x).sum()))
-    if abs(float(x.sum())) > 1e-9 * scale_x:
-        raise NotZeroSum("x must sum to zero")
-    if not np.any(x):
-        raise NotZeroSum("x must be nonzero")
-    lam2 = algebraic_connectivity(t)
-    if not math.isfinite(lam2):
-        raise DisconnectedTopology("single-vertex graph has no Rayleigh bound")
-    lhs = float(x @ laplacian(t) @ x)
-    rhs = lam2 * float(x @ x)
-    return lhs >= rhs - 1e-9 * max(1.0, abs(rhs))

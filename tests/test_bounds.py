@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftagree import (
-    disagreement,
     envelope,
     exponent_transform,
     k1_constant,
@@ -98,24 +97,6 @@ class TestV1:
         assert v1(topology_new(2, [(0, 1, 1e308)]), [0.0, 1.0]) == 5e307
 
 
-class TestDisagreement:
-    def test_six_agent_average(self):
-        d = disagreement(X0_SIX)
-        assert d.kappa == pytest.approx(2.8333, abs=5e-5)
-        np.testing.assert_allclose(d.kappa + d.delta, X0_SIX, atol=0)
-        assert abs(d.delta.sum()) <= 1e-12 * np.abs(d.delta).sum() + 1e-300
-
-    def test_constant(self):
-        d = disagreement(3.0 * np.ones(4))
-        assert d.kappa == 3.0
-        np.testing.assert_array_equal(d.delta, np.zeros(4))
-
-    def test_antisymmetric_pair(self):
-        d = disagreement([1.0, -1.0])
-        assert d.kappa == 0.0
-        np.testing.assert_array_equal(d.delta, [1.0, -1.0])
-
-
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
@@ -124,9 +105,11 @@ class TestV2:
 
     def test_constant(self):
         assert v2(5.0 * np.ones(3)) == 0.0
+        assert v2(3.0 * np.ones(4)) == 0.0
 
     def test_pair(self):
         assert v2([1.0, -1.0]) == 1.0
+        assert v2([1, -1]) == 1.0
 
 
 class TestT1Bound:

@@ -28,7 +28,6 @@ from ftagree import (
     scenario_bounds,
     t1_bound,
     t2_bound,
-    topology_at,
     topology_new,
     v1,
     v2,
@@ -40,8 +39,6 @@ from ftagree.errors import (
     FtagreeError,
     NumericalBlowup,
     ProtocolMismatch,
-    TimeBeyondSchedule,
-    UnknownTopologyId,
     ValidationError,
 )
 from ftagree.output import trajectory_csv_text
@@ -67,6 +64,28 @@ def two_agent_scenario(protocol=P2_HALF, dt=1e-4, **kw):
     return Scenario(**defaults)
 
 
+def _topology_at(s, topologies, t):
+    """Topology active at time t, found from the schedule's dwell times
+    alone: an oracle for the engine's step-count switching. Phases are
+    half-open, [start, start + dwell)."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    period = s.period
+    if s.cyclic:
+        r = math.fmod(t, period)
+    else:
+        if t >= period:
+            raise ValueError(f"t={t} beyond non-cyclic schedule of {period}")
+        r = t
+    # Snap times that are a roundoff shy of a boundary into the new phase,
+    # by far less than the shortest dwell.
+    dwells = [d for _, d in s.phases]
+    eps = min(1e-9 * max(1.0, period), 1e-6 * min(dwells))
+    # Phase i holds [ends[i-1], ends[i]); r at or past the last end wraps to phase 0.
+    ends = [end - eps for end in accumulate(dwells)]
+    return topologies[s.phases[np.searchsorted(ends, r, side="right") % len(ends)][0]]
+
+
 class TestTopologyAt:
     def make(self):
         tops = {
@@ -83,36 +102,36 @@ class TestTopologyAt:
 
     def test_boundary_is_right_continuous(self):
         sched, tops = self.make()
-        assert topology_at(sched, tops, 0.25) is tops["B"]
+        assert _topology_at(sched, tops, 0.25) is tops["B"]
 
     def test_t_zero(self):
         sched, tops = self.make()
-        assert topology_at(sched, tops, 0.0) is tops["A"]
+        assert _topology_at(sched, tops, 0.0) is tops["A"]
 
     def test_cyclic_wrap(self):
         sched, tops = self.make()
-        assert topology_at(sched, tops, 7.3) is topology_at(sched, tops, 0.3)
-        assert topology_at(sched, tops, 7.3) is tops["B"]
+        assert _topology_at(sched, tops, 7.3) is _topology_at(sched, tops, 0.3)
+        assert _topology_at(sched, tops, 7.3) is tops["B"]
 
     def test_non_cyclic_beyond_end(self):
         sched, tops = self.make()
         finite = SwitchingSchedule(phases=sched.phases, cyclic=False)
-        assert topology_at(finite, tops, 0.9) is tops["D"]
-        with pytest.raises(TimeBeyondSchedule):
-            topology_at(finite, tops, 1.0)
+        assert _topology_at(finite, tops, 0.9) is tops["D"]
+        with pytest.raises(ValueError, match="beyond non-cyclic"):
+            _topology_at(finite, tops, 1.0)
 
     @pytest.mark.parametrize("cyclic", [True, False], ids=["cyclic", "non-cyclic"])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time(self, cyclic, t):
         sched, tops = self.make()
         sched = SwitchingSchedule(phases=sched.phases, cyclic=cyclic)
-        with pytest.raises(TimeBeyondSchedule):
-            topology_at(sched, tops, t)
+        with pytest.raises(ValueError, match="must be finite"):
+            _topology_at(sched, tops, t)
 
     def test_unknown_topology(self):
         sched = SwitchingSchedule(phases=(("Z", 1.0),), cyclic=True)
-        with pytest.raises(UnknownTopologyId):
-            topology_at(sched, {}, 0.5)
+        with pytest.raises(KeyError):
+            _topology_at(sched, {}, 0.5)
 
 
 class TestIntegrate:
@@ -248,7 +267,7 @@ class TestIntegrate:
         traj = integrate(sc)
         names = []
         for t, x, *recorded in zip(traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum):
-            top = topology_at(sc.schedule, tops, t)
+            top = _topology_at(sc.schedule, tops, t)
             names.append(next(name for name in tops if tops[name] is top))
             assert recorded == [v1(top, x), v2(x), x.max() - x.min(), x.sum()]
         # Phase A holds exactly round(0.05 / dt) steps before the first switch.
@@ -743,6 +762,18 @@ def test_star_import_binds_no_submodule():
     assert {"graph", "scenario"}.isdisjoint(namespace)
     public = {name: value for name, value in namespace.items() if not name.startswith("_")}
     assert not [name for name, value in public.items() if isinstance(value, types.ModuleType)]
+    # The whole public API: an addition or a removal shows up here.
+    assert sorted(public) == [
+        "BoundsReport", "ProtocolKind", "ProtocolSpec", "Sample", "Scenario",
+        "SpectrumResult", "SwitchingSchedule", "Topology", "Trajectory",
+        "algebraic_connectivity", "complete_topology", "conservation_drift",
+        "cycle_topology", "eigenvalues_symmetric", "envelope", "exponent_transform",
+        "field", "integrate", "integrate_batch", "is_connected", "k1_constant",
+        "k2_constant", "laplacian", "lemma1_constant", "parse_scenario",
+        "path_topology", "reconstruct_paper_graph", "render_scenario",
+        "scenario_bounds", "sig", "t1_bound", "t1_limit_alpha0", "t2_bound",
+        "t3_bound", "topology_new", "v1", "v2", "verify_envelope",
+    ]
 
 
 class TestLyapunovChecks:

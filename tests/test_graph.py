@@ -124,21 +124,6 @@ class TestTopologyNew:
             assert np.all(t.weights >= 0)
 
 
-class TestNeighbors:
-    def test_sorted(self):
-        t = topology_new(5, [(4, 2, 1.0), (2, 0, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-        assert t.neighbors(2) == [0, 1, 4]
-        assert t.neighbors(4) == [2, 3]
-        assert path_topology(4).neighbors(0) == [1]
-        assert topology_new(2, []).neighbors(1) == []
-
-    def test_out_of_range(self):
-        t = path_topology(4)
-        for i in (-1, 4):
-            with pytest.raises(IndexOutOfRange):
-                t.neighbors(i)
-
-
 def connected_reference(w) -> bool:
     """Breadth-first search over the dense weight matrix."""
     seen = {0}

@@ -12,10 +12,9 @@ from ftagree import (
     is_connected,
     laplacian,
     path_topology,
-    rayleigh_bound_check,
     topology_new,
 )
-from ftagree.errors import DimensionMismatch, NotSymmetric, NotZeroSum, NumericalBlowup
+from ftagree.errors import NotSymmetric, NumericalBlowup
 from conftest import random_connected_topology, random_topology
 
 
@@ -135,6 +134,12 @@ class TestAlgebraicConnectivity:
             assert (algebraic_connectivity(t) > 1e-9) == is_connected(t)
 
 
+def _rayleigh_holds(t, x):
+    """x'Lx >= lam2 x'x, the Rayleigh bound for a zero-sum x."""
+    rhs = algebraic_connectivity(t) * float(x @ x)
+    return float(x @ laplacian(t) @ x) >= rhs - 1e-9 * max(1.0, abs(rhs))
+
+
 class TestRayleighBound:
     def test_fiedler_vector_equality(self):
         t = path_topology(6)
@@ -143,7 +148,7 @@ class TestRayleighBound:
         # Fiedler eigenvector from an independent dense solve
         w, v = np.linalg.eigh(L)
         fiedler = v[:, 1]
-        assert rayleigh_bound_check(t, fiedler)
+        assert _rayleigh_holds(t, fiedler)
         lhs = fiedler @ L @ fiedler
         assert lhs == pytest.approx(lam2 * fiedler @ fiedler, abs=1e-8)
 
@@ -155,13 +160,4 @@ class TestRayleighBound:
             x -= x.mean()
             if np.abs(x).max() < 1e-12:
                 continue
-            assert rayleigh_bound_check(t, x)
-
-    def test_ones_rejected(self):
-        with pytest.raises(NotZeroSum):
-            rayleigh_bound_check(path_topology(3), np.ones(3))
-
-    def test_wrong_length_rejected(self):
-        # A state of the wrong length is refused as field and v1 refuse it.
-        with pytest.raises(DimensionMismatch):
-            rayleigh_bound_check(path_topology(3), [1.0, -1.0])
+            assert _rayleigh_holds(t, x)
