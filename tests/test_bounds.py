@@ -97,6 +97,20 @@ class TestV1:
         assert v1(topology_new(2, [(0, 1, 1e308)]), [0.0, 1.0]) == 5e307
 
 
+class TestDisagreement:
+    # v2 is the energy of the disagreement part x - x.mean(), so it ignores
+    # the average.
+    def test_constant(self):
+        x = 3.0 * np.ones(4)
+        assert x.mean() == 3.0
+        assert v2(x) == 0.0
+
+    def test_antisymmetric_pair(self):
+        assert np.mean([1.0, -1.0]) == 0.0
+        assert v2([1, -1]) == 1.0
+        assert v2([4.0, 2.0]) == v2([1.0, -1.0])
+
+
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
@@ -105,11 +119,9 @@ class TestV2:
 
     def test_constant(self):
         assert v2(5.0 * np.ones(3)) == 0.0
-        assert v2(3.0 * np.ones(4)) == 0.0
 
     def test_pair(self):
         assert v2([1.0, -1.0]) == 1.0
-        assert v2([1, -1]) == 1.0
 
 
 class TestT1Bound:
