@@ -74,25 +74,33 @@ def _check_bound_args(v_0: Optional[float], lam2: Optional[float], alpha: Option
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
 
 
-def _settling_time(v_0: float, K: float, alpha: float) -> float:
-    """v_0**q/(qK), q = (1-alpha)/2: when dV/dt <= -K V**(1-q) brings V to zero."""
+def _settling_time(v_0: float, log_K: float, alpha: float) -> float:
+    """v_0**q/(qK), q = (1-alpha)/2: when dV/dt <= -K V**(1-q) brings V to zero.
+
+    It takes log K, so a K past the largest double still gives a bound."""
     _check_bound_args(v_0, None, None)
+    if v_0 == 0.0:
+        return 0.0
     q = (1.0 - alpha) / 2.0
-    t = v_0 ** q / (q * K) if 0.0 < q * K < math.inf else math.inf
-    if t == math.inf:
-        raise NumericalBlowup(f"time bound {v_0}**{q}/({q}*{K}) does not fit in a double")
-    return t
+    log_t = q * math.log(v_0) - math.log(q) - log_K
+    try:
+        return math.exp(log_t)
+    except OverflowError:
+        raise NumericalBlowup(
+            f"time bound {v_0}**{q}/({q}*exp({log_K})) does not fit in a double") from None
 
 
 def t1_bound(v1_0: float, lambda2_A: float, alpha: float) -> float:
     """Convergence-time upper bound for protocol 1: settling time at K1."""
-    return _settling_time(v1_0, k1_constant(lambda2_A, alpha), alpha)
+    _check_bound_args(None, lambda2_A, alpha)
+    log_k1 = (1.0 + alpha) / 2.0 * (math.log(2.0) + math.log(lambda2_A))
+    return _settling_time(v1_0, log_k1, alpha)
 
 
 def t1_limit_alpha0(v1_0: float, lambda2_A: float) -> float:
     """alpha -> 0 limit of the protocol-1 bound: sqrt(2 V1(0) / lam2), at K = sqrt(2 lam2)."""
     _check_bound_args(None, lambda2_A, None)
-    return _settling_time(v1_0, math.sqrt(2.0 * lambda2_A), 0.0)
+    return _settling_time(v1_0, (math.log(2.0) + math.log(lambda2_A)) / 2.0, 0.0)
 
 
 def t2_bound(v2_0: float, lambda2_B: float, alpha: float) -> float:
@@ -101,7 +109,9 @@ def t2_bound(v2_0: float, lambda2_B: float, alpha: float) -> float:
     lambda2_B is the algebraic connectivity of the exponent-transformed
     graph, b_ij = a_ij**(2/(1+alpha)).
     """
-    return _settling_time(v2_0, k2_constant(lambda2_B, alpha), alpha)
+    _check_bound_args(None, lambda2_B, alpha)
+    log_k2 = alpha * math.log(2.0) + (1.0 + alpha) / 2.0 * math.log(lambda2_B)
+    return _settling_time(v2_0, log_k2, alpha)
 
 
 def t3_bound(v2_0: float, lambda_min: float, alpha: float) -> float:
@@ -115,7 +125,8 @@ def scenario_bounds(sc) -> BoundsReport:
 
     t1 and t2 are taken at the first referenced topology; t3 uses the
     minimum transformed connectivity over the referenced topologies (the
-    first alone for a fixed topology). All of them must be connected.
+    first alone for a fixed topology). All of them must be connected, and
+    every lam2 must come out positive.
     """
     alpha = sc.protocol.alpha
     if sc.protocol.kind is ProtocolKind.LINEAR:
@@ -130,19 +141,33 @@ def scenario_bounds(sc) -> BoundsReport:
             raise DisconnectedTopology(f"topology {name!r} is not connected")
 
     base = sc.topologies[referenced[0]]
-    lam2_a = algebraic_connectivity(base)
+    lam2_a = _resolved_connectivity(base, referenced[0], "L_A")
+    v1_0 = v1(base, sc.x0)
+    # t1 comes before the transformed spectra, so a t1 past the double
+    # range is reported also where a transformed weight underflows.
+    t1 = t1_bound(v1_0, lam2_a, alpha)
     lam2_b = [
-        algebraic_connectivity(exponent_transform(sc.topologies[name], alpha))
+        _resolved_connectivity(exponent_transform(sc.topologies[name], alpha), name, "L_B")
         for name in referenced
     ]
-    v1_0 = v1(base, sc.x0)
     v2_0 = v2(sc.x0)
-    t1 = t1_bound(v1_0, lam2_a, alpha)
     t2 = t2_bound(v2_0, lam2_b[0], alpha)
     lam_min = min(lam2_b)
     t3 = t3_bound(v2_0, lam_min, alpha)
     t1_limit = t1_limit_alpha0(v1_0, lam2_a)
     return BoundsReport(v1_0, v2_0, lam2_a, lam2_b[0], lam_min, t1, t2, t3, t1_limit, alpha)
+
+
+def _resolved_connectivity(t: Topology, name: str, laplacian: str) -> float:
+    """lam2 of a connected topology, refused when a double does not resolve it."""
+    lam2 = algebraic_connectivity(t)
+    if not lam2 > 0:
+        # A transformed weight underflowed to zero, or lam2 lies below the
+        # eigensolver's resolution of about 1e-16 times the largest eigenvalue.
+        raise NumericalBlowup(
+            f"topology {name!r} is connected, but lambda2 of its {laplacian} comes out as"
+            f" {lam2}: too small for a double to resolve")
+    return lam2
 
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:

@@ -40,23 +40,16 @@ class Topology:
     w: np.ndarray
 
     def __init__(self, n: int, weights):
-        if n < 1:
-            raise TopologyError("topology needs at least one vertex")
         w = np.array(weights, dtype=float)
         if w.shape != (n, n):
             raise TopologyError(f"weight matrix must be {n}x{n}")
-        if not np.all(np.isfinite(w)):
-            raise TopologyError("weights must be finite")
-        if not np.array_equal(w, w.T):
+        # A NaN passes here and is named by the edge checks.
+        if not np.array_equal(w, w.T, equal_nan=True):
             raise TopologyError("weight matrix must be symmetric")
         if np.any(np.diagonal(w) != 0.0):
             raise TopologyError("diagonal weights must be zero")
-        if np.any(w < 0.0):
-            raise NegativeWeight("weights must be nonnegative")
-        i, j = np.nonzero(w)  # row-major, so the upper half is sorted
-        upper = i < j
-        i, j = i[upper], j[upper]
-        self._store(n, i, j, w[i, j])
+        i, j = np.nonzero(np.triu(w, 1))  # row-major, so sorted by (i, j)
+        vars(self).update(vars(_topology_from_columns(n, i, j, w[i, j])))
         w.flags.writeable = False
         self.__dict__["weights"] = w  # already at hand: skip the rebuild
 
@@ -64,27 +57,24 @@ class Topology:
     def _from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Topology":
         """Topology on edge arrays as topology_new leaves them: indices in
         range, no self-loops or repeated pairs, either orientation,
-        nonnegative weights. Drops zero weights; an infinite weight (an
-        overflowed exponent_transform) fails the degree-sum check."""
+        nonnegative weights. Drops zero weights, checks the degree sums (an
+        infinite weight, say an overflowed exponent_transform, fails them)
+        and stores the arrays sorted by (i, j) and read-only."""
         keep = w > 0.0
         lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
         order = np.argsort(lo * n + hi)
-        t = cls.__new__(cls)
-        t._store(n, lo[order], hi[order], w[keep][order])
-        return t
-
-    def _store(self, n, i, j, w) -> None:
-        """Check the degree sums of sorted edge arrays (i < j, finite
-        w > 0) and store the arrays read-only."""
+        i, j, w = lo[order], hi[order], w[keep][order]
         # One bincount adds without numpy's overflow warnings.
         degree = np.bincount(np.concatenate((i, j)), np.concatenate((w, w)), n)
         if not np.isfinite(degree).all():
             v = int(np.argmax(~np.isfinite(degree)))
             raise TopologyError(f"weighted degree sums must be finite (vertex {v})")
+        t = cls.__new__(cls)
         for name, arr in (("i", i), ("j", j), ("w", w)):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n", n)
+            object.__setattr__(t, name, arr)
+        object.__setattr__(t, "n", n)
+        return t
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -138,7 +128,8 @@ def _topology_from_columns(n: int, i: Sequence, j: Sequence, w: Sequence) -> Top
         if self_loop[k]:
             raise SelfLoop(f"edge ({ik},{jk}) is a self-loop at vertex {ik}")
         if weights[k] < 0:
-            raise NegativeWeight(f"edge ({ik},{jk}) has negative weight {wk}")
+            raise NegativeWeight(
+                f"edge ({ik},{jk}) has negative weight {wk}: weights must be nonnegative")
         if repeat[k]:
             raise DuplicateEdge(f"duplicate edge ({ik},{jk})")
         raise TopologyError(f"edge ({ik},{jk}) has weight {wk}: weights must be finite")

@@ -143,11 +143,14 @@ class TestT1Bound:
             t1_bound(1.0, 0.0, 0.5)
         with pytest.raises(AlphaOutOfRange):
             t1_bound(1.0, 1.0, 1.0)
-        # q K1 underflows to zero; 2 lam2, and so K1, overflows.
+        # q K1 underflows to zero, so the bound overflows.
         with pytest.raises(NumericalBlowup):
             t1_bound(1.0, 5e-324, 0.99)
-        with pytest.raises(NumericalBlowup):
-            t1_bound(1.0, 1e308, 0.5)
+        # 2 lam2, and so K1, overflows, but the bound is taken from log K1.
+        # It is 1/(q K1) = 4/(2e308)**0.75, about 2.3784e-231.
+        expected = 4.0 / (2.0 ** 0.75 * 1e308 ** 0.75)
+        assert t1_bound(1.0, 1e308, 0.5) == pytest.approx(expected, rel=1e-13)
+        assert expected == pytest.approx(2.3784e-231, rel=1e-4)
 
     def test_diverges_as_alpha_to_one(self):
         vals = [t1_bound(5.0, 0.8, a) for a in (0.9, 0.99, 0.999)]

@@ -385,6 +385,55 @@ def test_overflow_past_the_scenario_checks_exits_2(tmp_path, capsys, command, te
     assert captured.err.startswith("error: ") and named in captured.err
 
 
+# A triangle of weight 4e307: lam2 = 1.2e308, so K1 = (2 lam2)**p and
+# K2 = 2**alpha lam2B**p overflow a double, but t1 and t2 are tiny.
+HUGE_TRIANGLE = """\
+protocol = p1
+alpha = 0.9999999
+x0 = [0, 1e-3, 2e-3]
+
+[topology.G]
+edge 0 1 4e307
+edge 1 2 4e307
+edge 0 2 4e307
+"""
+
+
+def test_bounds_past_an_overflowing_decay_constant(tmp_path, capsys):
+    path = tmp_path / "s.scn"
+    path.write_text(HUGE_TRIANGLE)
+    assert run_cli(["bounds", str(path)]) == 0
+    assert "t1 = 0.000000\n" in capsys.readouterr().out
+    r = scenario_bounds(parse_scenario(HUGE_TRIANGLE))
+    a = r.alpha
+    q, p = (1.0 - a) / 2.0, (1.0 + a) / 2.0
+    # The settling time v**q/(q K), with K split so that no factor overflows.
+    assert r.t1 == pytest.approx(r.v1_0 ** q / q / 2.0 ** p / r.lambda2_A ** p, rel=1e-12)
+    assert r.t2 == pytest.approx(r.v2_0 ** q / q / 2.0 ** a / r.lambda2_B ** p, rel=1e-12)
+    assert 0.0 < r.t1 < 1e-300 and 0.0 < r.t2 < 1e-300
+
+
+# Connected topologies whose lam2 comes out as 0: the transform of the
+# weight 1e-300 underflows, and 1e-200 lies far below eigvalsh's
+# resolution of the 1e200 edge.
+@pytest.mark.parametrize(
+    "text, laplacian",
+    [
+        (TWO_AGENT.replace("edge 0 1 1", "edge 0 1 1e-300"), "L_B"),
+        (TWO_AGENT.replace("x0 = [0, 1]", "x0 = [0, 1, 2]")
+         .replace("edge 0 1 1", "edge 0 1 1e200\nedge 1 2 1e-200"), "L_A"),
+    ],
+    ids=["transformed-weight-underflows", "graded-weights"],
+)
+def test_connected_topology_with_unresolved_lambda2_exits_2(tmp_path, capsys, text, laplacian):
+    p = tmp_path / "s.scn"
+    p.write_text(text)
+    assert run_cli(["bounds", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: topology 'G' is connected")
+    assert f"lambda2 of its {laplacian} comes out as 0.0" in err
+
+
 def test_readme_scenario_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftagree import (
     Topology,
@@ -122,6 +124,36 @@ class TestTopologyNew:
             assert np.array_equal(t.weights, t.weights.T)
             assert np.all(np.diagonal(t.weights) == 0)
             assert np.all(t.weights >= 0)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix with a zero diagonal, its entries valid, zero,
+    negative, non-finite, or large enough for a degree sum to overflow."""
+    n = draw(st.integers(0, 6))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = draw(st.sampled_from([0.0, 1.5, -1.0, math.nan, math.inf, 1e308]))
+    return w
+
+
+def built_or_refused(build):
+    """The edge arrays and weight matrix of build(), or its error and message."""
+    try:
+        t = build()
+    except TopologyError as exc:
+        return type(exc), str(exc)
+    return t.i.tolist(), t.j.tolist(), t.w.tolist(), t.weights.tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(w=symmetric_matrices())
+def test_dense_matrix_and_its_upper_edge_list_build_alike(w):
+    n = len(w)
+    edges = [(i, j, w[i, j]) for i in range(n) for j in range(i + 1, n) if w[i, j] != 0]
+    dense = built_or_refused(lambda: Topology(n, w))
+    assert dense == built_or_refused(lambda: topology_new(n, edges))
 
 
 def connected_reference(w) -> bool:
