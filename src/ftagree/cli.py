@@ -65,7 +65,7 @@ def _cmd_bounds(args) -> int:
     sc = _read_scenario(args.file)
     report = scenario_bounds(sc)
     for key, value in dataclasses.asdict(report).items():
-        print(f"{key} = {value:.6f}")
+        print(f"{key} = {value!r}")
     return EXIT_OK
 
 

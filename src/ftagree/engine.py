@@ -179,13 +179,12 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
 
     Scenarios that share their protocol (kind and alpha) and dt run in
     one RK4 loop on the disjoint union of their graphs: each run owns a
-    block of the union state, and the union edge list holds the edges of
-    every topology the run's schedule names, offset into its block. Only
-    the edges of each running run's current phase are active, so a run
-    that agrees or times out gets an exact zero field and its block stays
-    frozen. np.bincount adds a vertex's edge terms in the same order as in
-    the run alone, so every trajectory equals the one-at-a-time run's bit
-    for bit.
+    block of the union state, and the union edge list is the edges of
+    each live run's current phase, offset into its block. It is rebuilt
+    when a run switches phase or ends, so a run that agrees or times out
+    gets an exact zero field and its block stays frozen. np.bincount adds
+    a vertex's edge terms in the same order as in the run alone, so every
+    trajectory equals the one-at-a-time run's bit for bit.
 
     The loop only advances the state: on agreement a run snaps a copy of
     its block to the block mean, and it keeps a copy of its block, with
@@ -205,12 +204,12 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
 
 class _Run:
     """One scenario of a batch: its phases, its union block x[lo:hi] and
-    union edge spans, its next events and the rows it has kept."""
+    its phases' edges there, its next events and the rows it has kept."""
 
     def __init__(self, sc: Scenario, index: int):
         self.sc = sc
         self.index = index  # position in the caller's list
-        self.names = [name for name, _ in sc.phases]
+        self.tops = [sc.topologies[name] for name, _ in sc.phases]
         self.dwells = [round(d / sc.dt) for _, d in sc.phases]  # in steps
         self.steps = int(round(sc.t_max / sc.dt))
         self.phase = 0
@@ -239,7 +238,7 @@ class _Run:
     def _keep(self, k: int, state: np.ndarray) -> None:
         """Keep the state of step k with its V1, V2 and sum; a finite
         state can still overflow them, which ends the batch."""
-        top = self.sc.topologies[self.names[self.phase]]
+        top = self.tops[self.phase]
         row = (k, state, bounds.v1(top, state), bounds.v2(state), float(state.sum()))
         if not all(map(math.isfinite, row[2:])):
             raise NumericalBlowup(
@@ -271,21 +270,13 @@ class _Run:
 def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
     """Advance runs that share protocol and dt in one RK4 loop until each
     has agreed or timed out."""
-    # Each run's block, and the edges of each topology it names (once,
-    # even where its schedule repeats a phase), offset into that block.
-    parts = []  # (i, j, w) of each such topology
-    lo = e = 0
+    # Each run's block, and the (i, j, w) of each of its phases offset into
+    # that block once here, not at every rebuild of the union edge list.
+    lo = 0
     for pos, run in enumerate(runs):
         run.pos, run.lo = pos, lo
         lo = run.hi = lo + run.sc.x0.size
-        spans = {}
-        for name in dict.fromkeys(run.names):
-            top = run.sc.topologies[name]
-            spans[name] = slice(e, e + top.w.size)
-            e += top.w.size
-            parts.append((top.i + run.lo, top.j + run.lo, top.w))
-        run.spans = [spans[name] for name in run.names]
-    ui, uj, uw = map(np.concatenate, zip(*parts))
+        run.phase_edges = [(top.i + run.lo, top.j + run.lo, top.w) for top in run.tops]
     x = np.concatenate([run.sc.x0 for run in runs])
     starts = np.array([run.lo for run in runs])
     tol = np.array([run.sc.agree_tol for run in runs])
@@ -316,11 +307,10 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
                     live = [run for run in live if not run.done]
                     if not live:
                         break
-                    active = np.zeros(ui.size, dtype=bool)
-                    for run in live:
-                        active[run.spans[run.phase]] = True
-                    on = np.flatnonzero(active)
-                    f = edge_field(protocol, ui[on], uj[on], uw[on], x.size)
+                    # Only the live runs' current phases: an ended run's
+                    # block gets an exact zero field and stays frozen.
+                    edges = zip(*(run.phase_edges[run.phase] for run in live))
+                    f = edge_field(protocol, *map(np.concatenate, edges), x.size)
                 next_event = min(run.next_event for run in live)
             k1 = f(x)
             k2 = f(x + half * k1)

@@ -120,16 +120,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines() == [
-            "v1_0 = 0.500000",
-            "v2_0 = 0.250000",
-            "lambda2_A = 2.000000",
-            "lambda2_B = 2.000000",
-            "lambda_min = 2.000000",
-            "t1 = 1.189207",
-            "t2 = 1.189207",
-            "t3 = 1.189207",
-            "t1_limit_alpha0 = 0.707107",
-            "alpha = 0.500000",
+            "v1_0 = 0.5",
+            "v2_0 = 0.25",
+            "lambda2_A = 2.0",
+            "lambda2_B = 2.0",
+            "lambda_min = 2.0",
+            "t1 = 1.189207115002721",
+            "t2 = 1.189207115002721",
+            "t3 = 1.189207115002721",
+            "t1_limit_alpha0 = 0.7071067811865476",
+            "alpha = 0.5",
         ]
 
     def test_bounds_output_switching(self, tmp_path, capsys):
@@ -138,16 +138,16 @@ class TestCli:
         assert run_cli(["bounds", str(p)]) == 0
         # lambda_min comes from P, the later phase; lambda2_B from the base K.
         assert capsys.readouterr().out.splitlines() == [
-            "v1_0 = 3.000000",
-            "v2_0 = 1.000000",
-            "lambda2_A = 3.000000",
-            "lambda2_B = 3.000000",
-            "lambda_min = 1.000000",
-            "t1 = 1.373178",
-            "t2 = 1.240806",
-            "t3 = 2.828427",
-            "t1_limit_alpha0 = 1.414214",
-            "alpha = 0.500000",
+            "v1_0 = 3.0",
+            "v2_0 = 1.0",
+            "lambda2_A = 3.0",
+            "lambda2_B = 3.0",
+            "lambda_min = 0.9999999999999998",
+            "t1 = 1.3731780959380784",
+            "t2 = 1.2408064788027993",
+            "t3 = 2.8284271247461903",
+            "t1_limit_alpha0 = 1.4142135623730951",
+            "alpha = 0.5",
         ]
 
     def test_simulate_bad_alpha(self, tmp_path, capsys):
@@ -403,8 +403,10 @@ def test_bounds_past_an_overflowing_decay_constant(tmp_path, capsys):
     path = tmp_path / "s.scn"
     path.write_text(HUGE_TRIANGLE)
     assert run_cli(["bounds", str(path)]) == 0
-    assert "t1 = 0.000000\n" in capsys.readouterr().out
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     r = scenario_bounds(parse_scenario(HUGE_TRIANGLE))
+    # t1 ~ 8e-302 must print as itself, not as 0.000000.
+    assert float(printed["t1"]) == r.t1
     a = r.alpha
     q, p = (1.0 - a) / 2.0, (1.0 + a) / 2.0
     # The settling time v**q/(q K), with K split so that no factor overflows.

@@ -722,6 +722,58 @@ class TestIntegrateBatch:
         for sc, ref in zip(scenarios, refs):
             assert_bytes_equal(integrate(sc), ref)
 
+    def test_the_union_holds_the_live_runs_current_phases(self, monkeypatch):
+        # Each field build holds, in run order, the current phase's edges of
+        # every run that has not ended, offset into the run's block.
+        builds, evals = [], []
+
+        def recording_field(protocol, i, j, w, n):
+            builds.append((len(evals) // 4, i, j, w))  # RK4 evaluates 4 times a step
+            f = edge_field(protocol, i, j, w, n)
+
+            def counted(x):
+                evals.append(None)
+                return f(x)
+            return counted
+
+        monkeypatch.setattr(engine, "edge_field", recording_field)
+        dt = 0.01
+        path, full = path_topology(4), complete_topology(4)  # 3 and 6 edges
+        scenarios = [
+            two_agent_scenario(dt=dt, x0=[0.0, 0.01], agree_tol=1e-3),
+            two_agent_scenario(
+                topologies={"A": path, "B": full}, topology=None, dt=dt,
+                schedule=SwitchingSchedule((("A", 0.1), ("B", 0.2), ("A", 0.1)), cyclic=True),
+                x0=[0.0, 4.0, -1.0, 2.0], t_max=1.0, agree_tol=1e-9,
+            ),
+            two_agent_scenario(
+                topologies={"A": path_topology(3), "B": complete_topology(3)}, topology=None,
+                dt=dt, schedule=SwitchingSchedule((("B", 0.3), ("A", 2.0)), cyclic=False),
+                x0=[1.0, -2.0, 0.5], t_max=1.5, agree_tol=1e-9,
+            ),
+        ]
+        ends = [round(traj.t[-1] / dt) for traj in integrate_batch(scenarios)]
+        offsets = np.cumsum([0] + [sc.x0.size for sc in scenarios])
+
+        def phase(sc, k):
+            ends_of_phases = list(accumulate(round(d / dt) for _, d in sc.phases))
+            at = np.searchsorted(ends_of_phases, k % ends_of_phases[-1], side="right")
+            return int(at) % len(ends_of_phases)
+
+        assert ends[0] < min(ends[1:])
+        seen = set()
+        for k, i, j, w in builds:
+            live = [r for r, sc in enumerate(scenarios) if k < ends[r]]
+            tops = [scenarios[r].topologies[scenarios[r].phases[phase(scenarios[r], k)][0]]
+                    for r in live]
+            want = [(t.i + offsets[r], t.j + offsets[r], t.w) for r, t in zip(live, tops)]
+            for got, parts in zip((i, j, w), zip(*want)):
+                assert np.array_equal(got, np.concatenate(parts))
+            seen.update((r, phase(scenarios[r], k)) for r in live)
+        # Run 0 has ended by a later build, and each switching run's phases show.
+        assert builds[0][0] == 0 and any(k >= ends[0] for k, *_ in builds)
+        assert {(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)} <= seen
+
     def test_blowup_names_the_diverging_run(self):
         linear = ProtocolSpec(ProtocolKind.LINEAR)
         scenarios = [

@@ -3,14 +3,18 @@
     python3 tools/output_digest.py [--src DIR] [--verbose]
 
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
-are generated with DIR/perfbench/workloads.py into a temporary directory.
-Then four families of commands run in this process, on ftagree imported
-from DIR/src:
+are generated with DIR/perfbench/workloads.py into a temporary directory,
+and so are the scenarios that fuzz-small integrates for its six seed-1
+"tiny" cases. Then five families of commands run in this process, on
+ftagree imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
   spectral   ``spectral`` on the same 60 files
   simulate   ``simulate --out --report`` on each of the 24 sparse-large files
   repro      ``repro --outdir``
+  fuzz       ``simulate --out --report`` on each fuzz-small scenario: P1 and
+             P2 on the case's first topology, and P2 on its cyclic A, B, C
+             schedule where it has three
 
 One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
@@ -31,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def load(src: Path):
-    """run_cli of ftagree from src/src, checked, and the workloads module of
+    """ftagree from src/src, checked, and the workloads module of
     src/perfbench."""
     package = src / "src" / "ftagree"
     if not package.is_dir():
@@ -45,7 +49,26 @@ def load(src: Path):
     spec = importlib.util.spec_from_file_location("workloads", src / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return ftagree.cli.run_cli, workloads
+    return ftagree, workloads
+
+
+def fuzz_scenarios(ft, workloads):
+    """(label, Scenario) of each run that FuzzSmall.op integrates on the
+    seed-1 "tiny" cases, with t_max from the case's own closed forms."""
+    fuzz = workloads.FuzzSmall()
+    for k, c in enumerate(fuzz.generate(1, "tiny")):
+        tops = [ft.Topology(c.x0.size, w) for w in c.weights]
+        common = dict(x0=c.x0, dt=fuzz.dt, agree_tol=c.tol, record_every=10)
+        fixed = dict(topologies={"G": tops[0]}, topology="G")
+        runs = [("p1", ft.ProtocolKind.P1, c.t1, fixed), ("p2", ft.ProtocolKind.P2, c.t2, fixed)]
+        if len(tops) == 3:
+            schedule = ft.SwitchingSchedule((("A", 0.25), ("B", 0.25), ("C", 0.25)), cyclic=True)
+            runs.append(("switching", ft.ProtocolKind.P2, c.t3,
+                         dict(topologies=dict(zip("ABC", tops)), schedule=schedule)))
+        for name, kind, bound, timing in runs:
+            yield f"case{k}-{name}", ft.Scenario(
+                protocol=ft.ProtocolSpec(kind, c.alpha), t_max=1.1 * bound + 1.0,
+                **common, **timing)
 
 
 def digest(data: bytes) -> str:
@@ -82,10 +105,12 @@ def main(argv=None) -> int:
                         help="checkout whose src/ and perfbench/ to run (default: this one)")
     parser.add_argument("--verbose", action="store_true", help="one line per run and file")
     args = parser.parse_args(argv)
-    run_cli, workloads = load(args.src.resolve())
+    ft, workloads = load(args.src.resolve())
+    run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
-        families = {f: Family(f, tmp) for f in ("bounds", "spectral", "simulate", "repro")}
+        names = ("bounds", "spectral", "simulate", "repro", "fuzz")
+        families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
             for command in ("bounds", "spectral"):
@@ -99,6 +124,13 @@ def main(argv=None) -> int:
         families["repro"].run(run_cli, "repro", ["repro", "--outdir", str(outdir)])
         for path in sorted(outdir.iterdir()):
             families["repro"].add(path.relative_to(tmp).as_posix(), path.read_bytes())
+        (tmp / "fuzz").mkdir()
+        for label, sc in fuzz_scenarios(ft, workloads):
+            base = tmp / "fuzz" / label
+            scn, csv, report = (base.with_suffix(ext) for ext in (".scn", ".csv", ".json"))
+            scn.write_text(ft.render_scenario(sc), encoding="utf-8")
+            argv = ["simulate", str(scn), "--out", str(csv), "--report", str(report)]
+            families["fuzz"].run(run_cli, scn.name, argv, (csv, report))
     for family in families.values():
         if args.verbose:
             print("\n".join(family.lines))
