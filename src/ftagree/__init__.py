@@ -45,10 +45,9 @@ from .protocols import (
     ProtocolKind,
     ProtocolSpec,
     field,
-    sig,
 )
 from .reconstruct import reconstruct_paper_graph
-from .scenario import parse_scenario, render_scenario
+from .scenario import parse_scenario
 from .spectral import (
     SpectrumResult,
     algebraic_connectivity,

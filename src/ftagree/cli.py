@@ -53,7 +53,7 @@ def _cmd_simulate(args) -> int:
         )
     print(f"status = {traj.status}")
     if traj.converged_at is not None:
-        print(f"converged_at = {traj.converged_at:.6f}")
+        print(f"converged_at = {traj.converged_at:.9g}")
         print(f"final_value = {traj.final_value:.9g}")
     if traj.status != "Converged":
         print("simulation timed out before agreement", file=sys.stderr)

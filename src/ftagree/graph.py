@@ -50,8 +50,6 @@ class Topology:
             raise TopologyError("diagonal weights must be zero")
         i, j = np.nonzero(np.triu(w, 1))  # row-major, so sorted by (i, j)
         vars(self).update(vars(_topology_from_columns(n, i, j, w[i, j])))
-        w.flags.writeable = False
-        self.__dict__["weights"] = w  # already at hand: skip the rebuild
 
     @classmethod
     def _from_edges(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Topology":

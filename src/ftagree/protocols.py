@@ -6,8 +6,8 @@ Two nonlinear protocols plus the linear baseline:
   P2:     u_i = sum_j a_ij sig(x_j - x_i, alpha)
   Linear: u_i = sum_j a_ij (x_j - x_i)          (alpha = 1)
 
-Every sum runs over the edges of the topology, so one evaluation costs
-O(|E|).
+where sig(r, alpha) = sign(r) |r|**alpha. Every sum runs over the edges
+of the topology, so one evaluation costs O(|E|).
 """
 
 from dataclasses import dataclass
@@ -58,12 +58,14 @@ def edge_field(spec: ProtocolSpec, i, j, w, n):
     sig_edges = spec.kind is ProtocolKind.P2
     sig_vertices = spec.kind is ProtocolKind.P1
     # RK4 calls u four times a step, on small arrays, so u looks up no
-    # globals and calls no helpers; sig is written out as in sig below.
+    # globals and calls no helpers.
     bincount, copysign, absolute = np.bincount, np.copysign, np.abs
 
     def u(x):
         d = x[j] - x[i]
         if sig_edges:
+            # sig(d): the power of |d|, then the sign of d, so sig(-d) is
+            # -sig(d) bit for bit, which keeps P2's state sum to roundoff.
             d = copysign(absolute(d) ** alpha, d)
         f = w * d
         # The pair is exactly antisymmetric, so P2 and linear conserve the
@@ -74,20 +76,6 @@ def edge_field(spec: ProtocolSpec, i, j, w, n):
         return s
 
     return u
-
-
-def sig(r, alpha: float):
-    """sign(r) * |r|**alpha, exactly odd, exactly zero at r = 0.
-
-    Works on scalars and arrays. Computing the power on |r| and applying
-    the sign afterwards keeps sig(-r) == -sig(r) bit-exactly, which is
-    what preserves the P2 state-sum to roundoff.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1], got {alpha}")
-    r = np.asarray(r, dtype=float)
-    out = np.copysign(np.abs(r) ** alpha, r)
-    return out if out.ndim else float(out)
 
 
 def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:

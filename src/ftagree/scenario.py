@@ -216,36 +216,3 @@ def parse_scenario(text: str) -> Scenario:
     if "schedule" not in values and "topology" not in values and len(topologies) == 1:
         values["topology"] = next(iter(topologies))
     return Scenario(protocol=protocol, topologies=topologies, **values)
-
-
-def render_scenario(sc: Scenario) -> str:
-    """Serialize a Scenario back into the file grammar.
-
-    parse(render(parse(text))) equals parse(text) on semantic content.
-    A topology name that a section header cannot hold raises ValidationError.
-    """
-    for name in sc.topologies:
-        if not _SECTION_RE.match(f"[topology.{name}]"):
-            raise ValidationError(f"topology name {name!r} cannot be written to a scenario file")
-    lines = [
-        f"protocol = {sc.protocol.kind.value}",
-        f"alpha = {sc.protocol.alpha!r}",
-        "x0 = [" + ", ".join(repr(float(v)) for v in sc.x0) + "]",
-        f"dt = {sc.dt!r}",
-        f"t_max = {sc.t_max!r}",
-        f"agree_tol = {sc.agree_tol!r}",
-        f"record_every = {sc.record_every}",
-    ]
-    if sc.schedule is not None:
-        items = ", ".join(f"{name}:{dwell!r}" for name, dwell in sc.schedule.phases)
-        if sc.schedule.cyclic:
-            items += " cyclic"
-        lines.append(f"schedule = {items}")
-    else:
-        lines.append(f"topology = {sc.topology}")
-    for name in sorted(sc.topologies):
-        lines.append("")
-        lines.append(f"[topology.{name}]")
-        for i, j, w in sc.topologies[name].edges():
-            lines.append(f"edge {i} {j} {w!r}")
-    return "\n".join(lines) + "\n"

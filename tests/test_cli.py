@@ -444,7 +444,29 @@ def test_readme_scenario_runs(tmp_path, capsys):
     for command in ("bounds", "spectral", "simulate"):
         assert run_cli([command, str(p)]) == 0
     out = capsys.readouterr().out
-    assert "status = Converged\nconverged_at = 3.124000\n" in out
+    assert "status = Converged\nconverged_at = 3.124\n" in out
+
+
+def test_simulate_prints_converged_at_as_its_report_does(tmp_path, capsys):
+    # At dt 1e-7 agreement comes at 0.0009991; six decimals printed 0.000999.
+    p = tmp_path / "tiny.scn"
+    p.write_text(TWO_AGENT.replace("x0 = [0, 1]", "x0 = [0, 1e-6]")
+                 .replace("dt = 1e-4", "dt = 1e-7\nagree_tol = 1e-12"))
+    report = tmp_path / "report.json"
+    assert run_cli(["simulate", str(p), "--report", str(report)]) == 0
+    assert "converged_at = 0.0009991\n" in capsys.readouterr().out
+    assert json.loads(report.read_text())["converged_at"] == 0.0009991
+
+
+def test_single_agent(tmp_path, capsys):
+    p = tmp_path / "one.scn"
+    p.write_text("protocol = p2\nalpha = 0.5\nx0 = [3]\n\n[topology.G]\n")
+    assert run_cli(["bounds", str(p)]) == 2
+    assert capsys.readouterr().err == "error: time bounds need at least two agents\n"
+    assert run_cli(["spectral", str(p)]) == 0
+    assert capsys.readouterr().out == "G: [0] (residual 0)\n"
+    assert run_cli(["simulate", str(p)]) == 0
+    assert "status = Converged\nconverged_at = 0\n" in capsys.readouterr().out
 
 
 def test_spectrum_of_a_weight_whose_square_overflows(tmp_path, capsys):

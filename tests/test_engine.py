@@ -822,9 +822,9 @@ def test_star_import_binds_no_submodule():
         "cycle_topology", "eigenvalues_symmetric", "envelope", "exponent_transform",
         "field", "integrate", "integrate_batch", "is_connected", "k1_constant",
         "k2_constant", "laplacian", "lemma1_constant", "parse_scenario",
-        "path_topology", "reconstruct_paper_graph", "render_scenario",
-        "scenario_bounds", "sig", "t1_bound", "t1_limit_alpha0", "t2_bound",
-        "t3_bound", "topology_new", "v1", "v2", "verify_envelope",
+        "path_topology", "reconstruct_paper_graph", "scenario_bounds",
+        "t1_bound", "t1_limit_alpha0", "t2_bound", "t3_bound", "topology_new",
+        "v1", "v2", "verify_envelope",
     ]
 
 

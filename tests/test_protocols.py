@@ -14,7 +14,6 @@ from ftagree import (
     is_connected,
     laplacian,
     path_topology,
-    sig,
     topology_new,
 )
 from ftagree.errors import (
@@ -80,22 +79,22 @@ class TestEdgeKernel:
             assert abs(u.sum()) <= 1e-12 * np.abs(u).sum()
 
 
+def p2_edge(r, alpha):
+    """sig(r, alpha), as P2 gives it to vertex 0 of the unit edge at x = [0, r]."""
+    return field(ProtocolSpec(ProtocolKind.P2, alpha), EDGE, [0.0, r])[0]
+
+
 class TestSig:
     def test_values(self):
-        assert sig(4.0, 0.5) == 2.0
-        assert sig(-9.0, 0.5) == -3.0
-        assert sig(0.0, 0.3) == 0.0
-        assert sig(2.5, 1.0) == 2.5
+        assert p2_edge(4.0, 0.5) == 2.0
+        assert p2_edge(-9.0, 0.5) == -3.0
+        assert p2_edge(0.0, 0.3) == 0.0
+        assert field(ProtocolSpec(ProtocolKind.LINEAR), EDGE, [0.0, 2.5])[0] == 2.5
 
     def test_exactly_odd(self, rng):
         for r in rng.uniform(-100, 100, 200):
             for alpha in (0.2, 0.5, 0.8):
-                assert sig(-r, alpha) == -sig(r, alpha)
-
-    def test_alpha_out_of_range(self):
-        for alpha in (0.0, -1.0, 1.1):
-            with pytest.raises(AlphaOutOfRange):
-                sig(1.0, alpha)
+                assert p2_edge(-r, alpha) == -p2_edge(r, alpha)
 
 
 class TestProtocol1:

@@ -12,7 +12,6 @@ from ftagree import (
     Scenario,
     SwitchingSchedule,
     parse_scenario,
-    render_scenario,
     topology_new,
 )
 from ftagree.errors import FtagreeError, ScenarioSyntaxError, TopologyError, ValidationError
@@ -197,37 +196,11 @@ def test_one_comma_before_cyclic_is_allowed():
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL, SIX_AGENT_SWITCHING])
-    def test_parse_render_parse(self, text):
-        sc1 = parse_scenario(text)
-        sc2 = parse_scenario(render_scenario(sc1))
-        assert sc2.protocol == sc1.protocol
-        np.testing.assert_array_equal(sc2.x0, sc1.x0)
-        assert sc2.dt == sc1.dt
-        assert sc2.t_max == sc1.t_max
-        assert sc2.agree_tol == sc1.agree_tol
-        assert sc2.record_every == sc1.record_every
-        assert sc2.schedule == sc1.schedule
-        assert sc2.topology == sc1.topology
-        assert set(sc2.topologies) == set(sc1.topologies)
-        for name in sc1.topologies:
-            np.testing.assert_array_equal(
-                sc2.topologies[name].weights, sc1.topologies[name].weights
-            )
-
     def test_topology_named_cyclic_round_trips(self):
         text = MINIMAL.replace("[topology.G]", "[topology.cyclic]")
         text += "schedule = cyclic:0.25 cyclic\n"
-        sc1 = parse_scenario(text)
-        sc2 = parse_scenario(render_scenario(sc1))
-        assert sc2.schedule == sc1.schedule == SwitchingSchedule((("cyclic", 0.25),), True)
-
-    @pytest.mark.parametrize("name", ["G-1", "G 1", "G:1", "G,1", "G#1"])
-    def test_unreadable_topology_name_is_refused(self, name):
-        sc = parse_scenario(MINIMAL)
-        sc = dataclasses.replace(sc, topologies={name: sc.topologies["G"]}, topology=name)
-        with pytest.raises(ValidationError, match=re.escape(repr(name))):
-            render_scenario(sc)
+        sc = parse_scenario(text)
+        assert sc.schedule == SwitchingSchedule((("cyclic", 0.25),), True)
 
 
 # --- the bulk reader against the per-line reader it replaced --------------

@@ -5,8 +5,8 @@
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
 and so are the scenarios that fuzz-small integrates for its six seed-1
-"tiny" cases. Then five families of commands run in this process, on
-ftagree imported from DIR/src:
+"tiny" cases. Then six families run in this process, on ftagree
+imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
   spectral   ``spectral`` on the same 60 files
@@ -15,6 +15,8 @@ ftagree imported from DIR/src:
   fuzz       ``simulate --out --report`` on each fuzz-small scenario: P1 and
              P2 on the case's first topology, and P2 on its cyclic A, B, C
              schedule where it has three
+  batch      the same fuzz-small scenarios in one ``integrate_batch`` call:
+             each trajectory's columns, status, converged_at and final_value
 
 One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
@@ -52,23 +54,19 @@ def load(src: Path):
     return ftagree, workloads
 
 
-def fuzz_scenarios(ft, workloads):
-    """(label, Scenario) of each run that FuzzSmall.op integrates on the
-    seed-1 "tiny" cases, with t_max from the case's own closed forms."""
+def fuzz_texts(ft, workloads):
+    """(label, scenario text) of each run that FuzzSmall.op integrates on
+    the seed-1 "tiny" cases, with t_max from the case's own closed forms."""
     fuzz = workloads.FuzzSmall()
     for k, c in enumerate(fuzz.generate(1, "tiny")):
-        tops = [ft.Topology(c.x0.size, w) for w in c.weights]
-        common = dict(x0=c.x0, dt=fuzz.dt, agree_tol=c.tol, record_every=10)
-        fixed = dict(topologies={"G": tops[0]}, topology="G")
-        runs = [("p1", ft.ProtocolKind.P1, c.t1, fixed), ("p2", ft.ProtocolKind.P2, c.t2, fixed)]
-        if len(tops) == 3:
-            schedule = ft.SwitchingSchedule((("A", 0.25), ("B", 0.25), ("C", 0.25)), cyclic=True)
-            runs.append(("switching", ft.ProtocolKind.P2, c.t3,
-                         dict(topologies=dict(zip("ABC", tops)), schedule=schedule)))
-        for name, kind, bound, timing in runs:
-            yield f"case{k}-{name}", ft.Scenario(
-                protocol=ft.ProtocolSpec(kind, c.alpha), t_max=1.1 * bound + 1.0,
-                **common, **timing)
+        edges = [(top.i, top.j, top.w) for top in (ft.Topology(c.x0.size, w) for w in c.weights)]
+        fixed = {"G1": edges[0]}
+        runs = [("p1", "p1", c.t1, fixed, None), ("p2", "p2", c.t2, fixed, None)]
+        if len(edges) == 3:
+            runs.append(("switching", "p2", c.t3, dict(zip("ABC", edges)), 0.25))
+        for name, protocol, bound, graphs, dwell in runs:
+            yield f"case{k}-{name}", workloads.scenario_text(
+                protocol, c.alpha, c.x0, fuzz.dt, 1.1 * bound + 1.0, c.tol, graphs, dwell)
 
 
 def digest(data: bytes) -> str:
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
     run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
-        names = ("bounds", "spectral", "simulate", "repro", "fuzz")
+        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch")
         families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
@@ -125,12 +123,18 @@ def main(argv=None) -> int:
         for path in sorted(outdir.iterdir()):
             families["repro"].add(path.relative_to(tmp).as_posix(), path.read_bytes())
         (tmp / "fuzz").mkdir()
-        for label, sc in fuzz_scenarios(ft, workloads):
+        texts = list(fuzz_texts(ft, workloads))
+        for label, text in texts:
             base = tmp / "fuzz" / label
             scn, csv, report = (base.with_suffix(ext) for ext in (".scn", ".csv", ".json"))
-            scn.write_text(ft.render_scenario(sc), encoding="utf-8")
+            scn.write_text(text, encoding="utf-8")
             argv = ["simulate", str(scn), "--out", str(csv), "--report", str(report)]
             families["fuzz"].run(run_cli, scn.name, argv, (csv, report))
+        trajectories = ft.integrate_batch([ft.parse_scenario(text) for _, text in texts])
+        for (label, _), traj in zip(texts, trajectories):
+            columns = (traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum)
+            outcome = repr((traj.status, traj.converged_at, traj.final_value))
+            families["batch"].add(label, b"".join(c.tobytes() for c in columns) + outcome.encode())
     for family in families.values():
         if args.verbose:
             print("\n".join(family.lines))
