@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AlphaOutOfRange, DimensionMismatch, DisconnectedTopology, NumericalBlowup,
-                     ValidationError)
+from .errors import DisconnectedTopology, NumericalBlowup, ValidationError
 from .graph import Topology, exponent_transform, is_connected
 from .protocols import ProtocolKind
 from .spectral import algebraic_connectivity
@@ -47,7 +46,7 @@ def v1(t: Topology, x) -> float:
     differences over the edges (half the Laplacian quadratic form)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (t.n,):
-        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
+        raise ValidationError(f"state has shape {x.shape}, topology has n={t.n}")
     d = x[t.j] - x[t.i]
     return float((t.w * d * d).sum() / 2.0)
 
@@ -56,7 +55,7 @@ def v2(x) -> float:
     """Disagreement energy: half the squared norm of x minus its mean."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
-        raise DimensionMismatch("state must be a nonempty vector")
+        raise ValidationError("state must be a nonempty vector")
     d = x - float(x.mean())
     return float(0.5 * (d * d).sum())
 
@@ -67,11 +66,13 @@ def _check_bound_args(v_0: Optional[float], lam2: Optional[float], alpha: Option
     if v_0 is not None and not 0.0 <= v_0 < math.inf:
         raise ValidationError(f"initial Lyapunov value must be finite and >= 0, got {v_0}")
     if lam2 is not None and not lam2 > 0:
-        raise DisconnectedTopology(f"algebraic connectivity must be > 0, got {lam2}")
+        # A NaN is a bad argument, not a disconnected graph.
+        error = ValidationError if math.isnan(lam2) else DisconnectedTopology
+        raise error(f"algebraic connectivity must be > 0, got {lam2}")
     if K is not None and not 0.0 < K < math.inf:
         raise ValidationError(f"decay constant K must be finite and > 0, got {K}")
     if alpha is not None and not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0,1), got {alpha}")
 
 
 def _settling_time(v_0: float, log_K: float, alpha: float) -> float:

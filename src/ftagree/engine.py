@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds
-from .errors import NumericalBlowup, ProtocolMismatch, ValidationError
+from .errors import NumericalBlowup, ValidationError
 from .graph import Topology
 from .protocols import ProtocolKind, ProtocolSpec, edge_field
 
@@ -356,5 +356,5 @@ def conservation_drift(traj: Trajectory) -> float:
     is refused rather than reporting a meaningless number.
     """
     if traj.protocol.kind is ProtocolKind.P1:
-        raise ProtocolMismatch("protocol 1 does not conserve the state sum")
+        raise ValidationError("protocol 1 does not conserve the state sum")
     return float(np.abs(traj.sum - traj.sum[0]).max())

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+FtagreeError: the base of every error below.
+TopologyError: a bad topology: no vertex, or a bad edge, weight or degree sum.
+ScenarioSyntaxError: malformed scenario text; carries the line number.
+DisconnectedTopology: a disconnected graph, for which no time bound exists.
+NumericalBlowup: a value that overflows, or is not finite where it must be.
+ValidationError: any other invalid argument or scenario value.
+
+The CLI exits 3 on DisconnectedTopology and 2 on every other error.
+"""
 
 
 class FtagreeError(Exception):
@@ -9,47 +19,11 @@ class TopologyError(FtagreeError, ValueError):
     pass
 
 
-class IndexOutOfRange(TopologyError):
-    pass
-
-
-class SelfLoop(TopologyError):
-    pass
-
-
-class DuplicateEdge(TopologyError):
-    pass
-
-
-class NegativeWeight(TopologyError):
-    pass
-
-
-class AlphaOutOfRange(FtagreeError, ValueError):
-    pass
-
-
-class DimensionMismatch(FtagreeError, ValueError):
-    pass
-
-
 class DisconnectedTopology(FtagreeError):
     pass
 
 
-class NotSymmetric(FtagreeError, ValueError):
-    pass
-
-
-class ProtocolMismatch(FtagreeError):
-    pass
-
-
 class NumericalBlowup(FtagreeError, RuntimeError):
-    pass
-
-
-class SearchSpaceTooLarge(FtagreeError, ValueError):
     pass
 
 
@@ -62,6 +36,5 @@ class ScenarioSyntaxError(FtagreeError, ValueError):
 
 
 class ValidationError(FtagreeError, ValueError):
-    """Invalid content: a scenario's (raised when a Scenario or ProtocolSpec
-    is built) or a value passed to a bound, envelope or output function."""
-
+    """Invalid content that is no topology fault: a scenario value (raised
+    when a Scenario or ProtocolSpec is built) or a library argument."""

@@ -13,14 +13,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    DuplicateEdge,
-    IndexOutOfRange,
-    NegativeWeight,
-    SelfLoop,
-    TopologyError,
-)
+from .errors import TopologyError, ValidationError
 
 Edge = Tuple[int, int, float]
 
@@ -122,14 +115,14 @@ def _topology_from_columns(n: int, i: Sequence, j: Sequence, w: Sequence) -> Top
         k = int(np.argmax(bad))
         ik, jk, wk = i[k], j[k], w[k]
         if not in_range[k]:
-            raise IndexOutOfRange(f"edge ({ik},{jk}) out of range for n={n}")
+            raise TopologyError(f"edge ({ik},{jk}) out of range for n={n}")
         if self_loop[k]:
-            raise SelfLoop(f"edge ({ik},{jk}) is a self-loop at vertex {ik}")
+            raise TopologyError(f"edge ({ik},{jk}) is a self-loop at vertex {ik}")
         if weights[k] < 0:
-            raise NegativeWeight(
+            raise TopologyError(
                 f"edge ({ik},{jk}) has negative weight {wk}: weights must be nonnegative")
         if repeat[k]:
-            raise DuplicateEdge(f"duplicate edge ({ik},{jk})")
+            raise TopologyError(f"duplicate edge ({ik},{jk})")
         raise TopologyError(f"edge ({ik},{jk}) has weight {wk}: weights must be finite")
     return Topology._from_edges(n, a, b, weights)
 
@@ -164,7 +157,7 @@ def exponent_transform(t: Topology, alpha: float) -> Topology:
     is rejected.
     """
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0,1), got {alpha}")
     with np.errstate(over="ignore"):
         w = t.w ** (2.0 / (1.0 + alpha))
     return Topology._from_edges(t.n, t.i, t.j, w)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .graph import Topology
 
 
@@ -38,10 +38,10 @@ class ProtocolSpec:
             raise ValidationError(f"unknown protocol kind {self.kind!r}") from None
         if self.kind is ProtocolKind.LINEAR:
             if self.alpha != 1.0:
-                raise AlphaOutOfRange("linear protocol requires alpha == 1")
+                raise ValidationError("linear protocol requires alpha == 1")
         elif not 0.0 < self.alpha < 1.0:
             # alpha = 0 gives discontinuous dynamics; alpha = 1 is Linear.
-            raise AlphaOutOfRange(
+            raise ValidationError(
                 f"{self.kind.value} requires alpha in (0,1), got {self.alpha}"
             )
 
@@ -82,5 +82,5 @@ def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
     """The vector field selected by spec, at x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (t.n,):
-        raise DimensionMismatch(f"state has shape {x.shape}, topology has n={t.n}")
+        raise ValidationError(f"state has shape {x.shape}, topology has n={t.n}")
     return edge_field(spec, t.i, t.j, t.w, t.n)(x)

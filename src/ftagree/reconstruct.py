@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SearchSpaceTooLarge, ValidationError
+from .errors import ValidationError
 from .graph import Topology, exponent_transform, is_connected, topology_new
 from .spectral import algebraic_connectivity
 
@@ -73,15 +73,15 @@ def reconstruct_paper_graph(
 
     Results are deterministically ordered by the edge-subset encoding
     (pairs enumerated i < j in lexicographic order, first pair = lowest
-    bit), so repeated runs return identical lists. Invalid arguments
-    raise ValidationError; more than 8 vertices raise SearchSpaceTooLarge.
+    bit), so repeated runs return identical lists. Invalid arguments,
+    and more than 8 vertices, raise ValidationError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1 or not np.isfinite(x0).all():
         raise ValidationError("x0 must be a nonempty finite vector")
     n = x0.size
     if n > 8:
-        raise SearchSpaceTooLarge(f"exhaustive search limited to n <= 8, got n={n}")
+        raise ValidationError(f"exhaustive search limited to n <= 8, got n={n}")
     if not (math.isfinite(v1_target) and math.isfinite(lambda2b_target)):
         raise ValidationError("the V1 and lambda2 targets must be finite")
     if not 0.0 < alpha < 1.0:

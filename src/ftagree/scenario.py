@@ -19,12 +19,7 @@ default.
 import re
 
 from .engine import Scenario, SwitchingSchedule
-from .errors import (
-    FtagreeError,
-    ScenarioSyntaxError,
-    TopologyError,
-    ValidationError,
-)
+from .errors import ScenarioSyntaxError, TopologyError, ValidationError
 from .graph import _topology_from_columns
 from .protocols import ProtocolKind, ProtocolSpec
 
@@ -52,9 +47,8 @@ def _parse_protocol(value: str, lineno: int, key: str) -> ProtocolKind:
     try:
         return ProtocolKind(value)
     except ValueError:
-        raise ValidationError(
-            f"line {lineno}: protocol must be p1, p2 or linear, got {value!r}"
-        ) from None
+        raise ScenarioSyntaxError(
+            lineno, f"protocol must be p1, p2 or linear, got {value!r}") from None
 
 
 def _parse_x0(value: str, lineno: int, key: str) -> list[float]:
@@ -200,10 +194,7 @@ def parse_scenario(text: str) -> Scenario:
     if kind is not ProtocolKind.LINEAR and "alpha" not in values:
         raise ValidationError("protocols p1/p2 require an alpha key")
     alpha = {"alpha": values.pop("alpha")} if "alpha" in values else {}
-    try:
-        protocol = ProtocolSpec(kind, **alpha)
-    except FtagreeError as exc:
-        raise ValidationError(str(exc)) from exc
+    protocol = ProtocolSpec(kind, **alpha)
 
     n = len(values["x0"])
     topologies = {}

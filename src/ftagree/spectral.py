@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, NumericalBlowup
+from .errors import NumericalBlowup, ValidationError
 from .graph import Topology, laplacian
 
 
@@ -40,12 +40,12 @@ def _spectrum(m, vectors: bool) -> tuple[np.ndarray, float | None]:
     the solve is LAPACK's eigenvalue-only `eigvalsh`."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise NotSymmetric("input must be a non-empty square matrix")
+        raise ValidationError("input must be a non-empty square matrix")
     if not np.isfinite(m).all():
         raise NumericalBlowup("non-finite matrix entry")
     largest = float(np.abs(m).max())
     if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, largest):
-        raise NotSymmetric("input is not symmetric within 1e-12 relative tolerance")
+        raise ValidationError("input is not symmetric within 1e-12 relative tolerance")
 
     exp = math.frexp(largest)[1]
     m = np.ldexp(m, -exp)

@@ -24,11 +24,10 @@ from ftagree import (
     algebraic_connectivity,
 )
 from ftagree.errors import (
-    AlphaOutOfRange,
-    DimensionMismatch,
     DisconnectedTopology,
     FtagreeError,
     NumericalBlowup,
+    ValidationError,
 )
 from conftest import dense_weights, random_connected_topology, random_edge_list, random_topology
 
@@ -75,7 +74,7 @@ class TestV1:
             assert v1(t, x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"state has shape \(2,\), topology has n=3"):
             v1(path_topology(3), [0.0, 1.0])
 
     def test_matches_dense_double_sum(self, rng):
@@ -114,7 +113,7 @@ class TestDisagreement:
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="state must be a nonempty vector"):
             v2(np.array([X0_SIX, 5.0 * np.ones(6)]))
 
     def test_constant(self):
@@ -141,7 +140,7 @@ class TestT1Bound:
     def test_errors(self):
         with pytest.raises(DisconnectedTopology):
             t1_bound(1.0, 0.0, 0.5)
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError, match=r"alpha must be in \(0,1\), got 1.0"):
             t1_bound(1.0, 1.0, 1.0)
         # q K1 underflows to zero, so the bound overflows.
         with pytest.raises(NumericalBlowup):
@@ -218,7 +217,7 @@ class TestT2T3Bounds:
     def test_errors(self):
         with pytest.raises(DisconnectedTopology):
             t2_bound(1.0, -1.0, 0.5)
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError, match=r"alpha must be in \(0,1\), got 0.0"):
             t2_bound(1.0, 1.0, 0.0)
         # The quotient V2(0)**q / (q K2) overflows.
         with pytest.raises(NumericalBlowup):
@@ -284,6 +283,18 @@ def test_nan_or_negative_arguments_raise_instead_of_returning(call, args):
     # None of these may come back as nan or a complex number.
     with pytest.raises(FtagreeError):
         call(*args)
+
+
+@pytest.mark.parametrize("call", [t1_bound, t2_bound, t3_bound, t1_limit_alpha0,
+                                  k1_constant, k2_constant])
+def test_nan_connectivity_is_a_bad_argument_not_a_disconnected_graph(call):
+    rest = () if call is t1_limit_alpha0 else (0.5,)
+    lead = () if call in (k1_constant, k2_constant) else (1.0,)
+    with pytest.raises(ValidationError, match="algebraic connectivity must be > 0, got nan"):
+        call(*lead, math.nan, *rest)
+    for lam2 in (0.0, -1.0):
+        with pytest.raises(DisconnectedTopology):
+            call(*lead, lam2, *rest)
 
 
 # Each bound and the number of its scalar arguments (envelope then takes t).

@@ -38,7 +38,6 @@ from ftagree import engine
 from ftagree.errors import (
     FtagreeError,
     NumericalBlowup,
-    ProtocolMismatch,
     ValidationError,
 )
 from ftagree.output import trajectory_csv_text
@@ -828,6 +827,20 @@ def test_star_import_binds_no_submodule():
     ]
 
 
+def test_error_taxonomy():
+    # The CLI maps DisconnectedTopology to exit 3 and every other error to
+    # exit 2; a new class, or a removed one, shows up here.
+    from ftagree import errors
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.FtagreeError)}
+    assert defined == {"FtagreeError", "ValidationError", "TopologyError",
+                       "ScenarioSyntaxError", "DisconnectedTopology", "NumericalBlowup"}
+    for cls in (errors.ValidationError, errors.TopologyError, errors.ScenarioSyntaxError):
+        assert issubclass(cls, ValueError)
+    assert issubclass(errors.NumericalBlowup, RuntimeError)
+    assert not issubclass(errors.DisconnectedTopology, (ValueError, RuntimeError))
+
+
 class TestLyapunovChecks:
     def run_k3(self, protocol):
         t = complete_topology(3)
@@ -904,5 +917,5 @@ class TestConservationDrift:
 
     def test_p1_rejected(self):
         traj = integrate(two_agent_scenario(P1_HALF))
-        with pytest.raises(ProtocolMismatch):
+        with pytest.raises(ValidationError, match="protocol 1 does not conserve the state sum"):
             conservation_drift(traj)

@@ -16,11 +16,7 @@ from ftagree import (
     path_topology,
     topology_new,
 )
-from ftagree.errors import (
-    AlphaOutOfRange,
-    DimensionMismatch,
-    ValidationError,
-)
+from ftagree.errors import ValidationError
 from conftest import dense_weights, random_connected_topology, random_edge_list
 
 P3 = path_topology(3)
@@ -117,7 +113,7 @@ class TestProtocol1:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"state has shape \(2,\), topology has n=3"):
             field(ProtocolSpec(ProtocolKind.P1, 0.5), P3, [0.0, 1.0])
 
 
@@ -242,9 +238,9 @@ class TestProtocolSpec:
         ProtocolSpec(ProtocolKind.P1, 0.5)
         ProtocolSpec(ProtocolKind.LINEAR)
         for bad in (0.0, 1.0, 1.5):
-            with pytest.raises(AlphaOutOfRange):
+            with pytest.raises(ValidationError, match=r"p1 requires alpha in \(0,1\)"):
                 ProtocolSpec(ProtocolKind.P1, bad)
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError, match="linear protocol requires alpha == 1"):
             ProtocolSpec(ProtocolKind.LINEAR, 0.5)
 
     def test_string_kind_is_the_enum_member(self):

@@ -16,7 +16,7 @@ from ftagree import (
     v1,
 )
 from ftagree import reconstruct
-from ftagree.errors import FtagreeError, SearchSpaceTooLarge
+from ftagree.errors import FtagreeError, ValidationError
 
 X0 = np.array([-5.0, -3.0, 7.0, 9.0, 4.0, 5.0])
 # The three graphs the published targets give, in subset-encoding order.
@@ -71,7 +71,7 @@ class TestReconstruction:
             assert np.array_equal(ta.weights, tb.weights)
 
     def test_too_large(self):
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(ValidationError, match="exhaustive search limited to n <= 8, got n=9"):
             reconstruct_paper_graph(np.zeros(9), 1.0, 1.0, 0.5)
 
 

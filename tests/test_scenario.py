@@ -170,6 +170,7 @@ REJECTED = {
     "bad-x0-before-duplicate-section": (
         MINIMAL.replace("[0, 1]", "[0, a]") + "[topology.G]\n", ScenarioSyntaxError, 3
     ),
+    "unknown-protocol": (MINIMAL.replace("p2", "p3"), ScenarioSyntaxError, 1),
     "missing-protocol": (MINIMAL.replace("protocol = p2\n", ""), ValidationError, None),
     "missing-x0": (MINIMAL.replace("x0 = [0, 1]\n", ""), ValidationError, None),
 }

@@ -14,7 +14,7 @@ from ftagree import (
     path_topology,
     topology_new,
 )
-from ftagree.errors import NotSymmetric, NumericalBlowup
+from ftagree.errors import NumericalBlowup, ValidationError
 from conftest import random_connected_topology, random_topology
 
 
@@ -36,11 +36,11 @@ class TestEigenvaluesSymmetric:
             np.testing.assert_allclose(res.eigenvalues, expected, atol=1e-9 * n)
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match="input is not symmetric"):
             eigenvalues_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match="input must be a non-empty square matrix"):
             eigenvalues_symmetric(np.ones((2, 3)))
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValidationError, match="input must be a non-empty square matrix"):
             eigenvalues_symmetric(np.zeros((0, 0)))
         # Checked before any arithmetic, which would turn inf into nan.
         with pytest.raises(NumericalBlowup):

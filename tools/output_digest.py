@@ -5,7 +5,7 @@
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
 and so are the scenarios that fuzz-small integrates for its six seed-1
-"tiny" cases. Then six families run in this process, on ftagree
+"tiny" cases. Then seven families run in this process, on ftagree
 imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
@@ -17,6 +17,8 @@ imported from DIR/src:
              schedule where it has three
   batch      the same fuzz-small scenarios in one ``integrate_batch`` call:
              each trajectory's columns, status, converged_at and final_value
+  errors     the faulty scenarios of ERROR_CASES, each under its command,
+             and two valid controls: what the CLI prints on a fault
 
 One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
@@ -52,6 +54,41 @@ def load(src: Path):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return ftagree, workloads
+
+
+def error_text(edges="edge 0 1 1\nedge 1 2 1", **keys) -> str:
+    """A three-agent P2 scenario on one topology G, with keys replaced,
+    added, or left out where their value is None."""
+    keys = {"protocol": "p2", "alpha": "0.5", "x0": "[0, 1, 2]", "t_max": "5", **keys}
+    lines = [f"{k} = {v}" for k, v in keys.items() if v is not None]
+    return "\n".join(lines + ["[topology.G]", edges, ""])
+
+
+# (label, command, scenario text): one fault each, but for the controls.
+ERROR_CASES = [
+    ("control-bounds", "bounds", error_text()),
+    ("control-simulate", "simulate", error_text()),
+    ("self-loop", "bounds", error_text("edge 0 1 1\nedge 1 1 1")),
+    ("index-out-of-range", "bounds", error_text("edge 0 1 1\nedge 1 5 1")),
+    ("duplicate-edge", "bounds", error_text("edge 0 1 1\nedge 1 2 1\nedge 1 0 2")),
+    ("negative-weight", "bounds", error_text("edge 0 1 1\nedge 1 2 -1")),
+    ("non-finite-weight", "bounds", error_text("edge 0 1 1\nedge 1 2 inf")),
+    ("p2-alpha-1.5", "simulate", error_text(alpha="1.5")),
+    ("linear-alpha-0.5", "simulate", error_text(protocol="linear")),
+    ("unknown-protocol", "simulate", error_text(protocol="p3")),
+    ("disconnected", "bounds", error_text("edge 0 1 1")),
+    ("one-agent", "bounds", error_text("", x0="[1]")),
+    ("linear-bounds", "bounds", error_text(protocol="linear", alpha=None)),
+    ("linear-dt-10", "simulate",
+     error_text(protocol="linear", alpha=None, dt="10", t_max="1000")),
+    ("lyapunov-overflow", "simulate",
+     error_text("edge 0 1 1e300", alpha="0.01", x0="[0, 1]", dt="0.01", t_max="0.2",
+                agree_tol="1e-3", record_every="3")),
+    ("lambda2-unresolved", "bounds", error_text("edge 0 1 1e-300", x0="[0, 1]")),
+    ("degree-overflow", "spectral", error_text("edge 0 1 1e308\nedge 0 2 1e308")),
+    ("syntax-error", "bounds", error_text(x0="0, 1, 2")),
+    ("missing-x0", "bounds", error_text(x0=None)),
+]
 
 
 def fuzz_texts(ft, workloads):
@@ -107,7 +144,7 @@ def main(argv=None) -> int:
     run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
-        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch")
+        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch", "errors")
         families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
@@ -135,6 +172,11 @@ def main(argv=None) -> int:
             columns = (traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum)
             outcome = repr((traj.status, traj.converged_at, traj.final_value))
             families["batch"].add(label, b"".join(c.tobytes() for c in columns) + outcome.encode())
+        (tmp / "errors").mkdir()
+        for label, command, text in ERROR_CASES:
+            scn = tmp / "errors" / f"{label}.scn"
+            scn.write_text(text, encoding="utf-8")
+            families["errors"].run(run_cli, scn.name, [command, str(scn)])
     for family in families.values():
         if args.verbose:
             print("\n".join(family.lines))
