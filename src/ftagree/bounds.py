@@ -201,6 +201,5 @@ def envelope(v_0: float, K: float, alpha: float, t):
     # the -inf and the nan of 0/0 to a base of zero.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         base = np.fmax(1.0 - K * q * t / v_0 ** q, 0.0)
-    if base.ndim == 0:
-        return v_0 * float(base) ** (1.0 / q)
-    return v_0 * base ** (1.0 / q)
+    v = v_0 * np.power(base, 1.0 / q)
+    return float(v) if v.ndim == 0 else v

@@ -3,19 +3,16 @@
 Agents communicate bidirectionally. A topology is stored as its edge
 arrays i, j, w: one entry per edge, with i < j and w > 0, sorted by
 (i, j). Vector fields and Lyapunov values scatter over these arrays in
-O(|E|); the dense weight matrix and the Laplacian are built only on
-demand, for spectral work.
+O(|E|); the dense weight matrix and the Laplacian are built anew on
+each call, for spectral work.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import TopologyError, ValidationError
-
-Edge = Tuple[int, int, float]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -67,18 +64,14 @@ class Topology:
         object.__setattr__(t, "n", n)
         return t
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """Dense symmetric weight matrix, built on first use; read-only."""
+        """Dense symmetric weight matrix, built anew on each access; read-only."""
         w = np.zeros((self.n, self.n))
         w[self.i, self.j] = self.w
         w[self.j, self.i] = self.w
         w.flags.writeable = False
         return w
-
-    def edges(self) -> list[Edge]:
-        """Unordered edge list (i < j, positive weight), sorted by (i, j)."""
-        return list(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
 
 def topology_new(n: int, edges: Iterable[Tuple[int, int, float]]) -> Topology:
@@ -147,7 +140,8 @@ def is_connected(t: Topology) -> bool:
 
 def laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: degree on the diagonal, minus-weight off it."""
-    return np.diag(t.weights.sum(axis=1)) - t.weights
+    w = t.weights
+    return np.diag(w.sum(axis=1)) - w
 
 
 def exponent_transform(t: Topology, alpha: float) -> Topology:
@@ -169,9 +163,10 @@ def path_topology(n: int, weight: float = 1.0) -> Topology:
 
 
 def cycle_topology(n: int, weight: float = 1.0) -> Topology:
-    """Cycle graph C_n with uniform edge weight."""
-    edges = [(i, (i + 1) % n, weight) for i in range(n)]
-    return topology_new(n, edges)
+    """Cycle graph C_n (n >= 3) with uniform edge weight."""
+    if n in (1, 2):
+        raise TopologyError(f"a cycle needs at least 3 vertices, got n={n}")
+    return topology_new(n, [(i, (i + 1) % n, weight) for i in range(n)])
 
 
 def complete_topology(n: int, weight: float = 1.0) -> Topology:

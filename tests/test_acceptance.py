@@ -178,7 +178,8 @@ def test_criterion_4_two_agent_closed_form():
 
 def test_criterion_5_bound_dominance_fuzz(fuzz_corpus):
     for run in fuzz_corpus:
-        assert run.traj_p1.status == "Converged", (run.alpha, run.topology.edges())
+        top = run.topology
+        assert run.traj_p1.status == "Converged", (run.alpha, top.i, top.j, top.w)
         assert run.traj_p1.converged_at <= run.bounds.t1
         assert run.traj_p2.status == "Converged"
         assert run.traj_p2.converged_at <= run.bounds.t2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ftagree import (
     Topology,
+    cycle_topology,
     exponent_transform,
     is_connected,
     laplacian,
@@ -28,7 +29,7 @@ class TestTopologyNew:
         assert t.weights[0, 1] == 2.0 == t.weights[1, 0]
         assert t.weights[2, 3] == 2.0
         assert t.weights[0, 2] == 0.0
-        assert len(t.edges()) == 5
+        assert len(t.w) == 5
 
     def test_empty_graph(self):
         t = topology_new(3, [])
@@ -94,7 +95,7 @@ class TestTopologyNew:
 
     def test_zero_weight_lines_dropped(self):
         t = topology_new(4, [(3, 2, 1.5), (0, 1, 0.0), (1, 2, 2.0), (0, 3, -0.0)])
-        assert t.edges() == [(1, 2, 2.0), (2, 3, 1.5)]
+        assert (t.i.tolist(), t.j.tolist(), t.w.tolist()) == ([1, 2], [2, 3], [2.0, 1.5])
         np.testing.assert_array_equal(
             t.weights, [[0, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 1.5], [0, 0, 1.5, 0]]
         )
@@ -102,7 +103,7 @@ class TestTopologyNew:
     def test_dense_round_trip(self, rng):
         for _ in range(50):
             t = random_topology(rng, int(rng.integers(1, 9)))
-            again = topology_new(t.n, t.edges())
+            again = topology_new(t.n, zip(t.i, t.j, t.w))
             np.testing.assert_array_equal(again.weights, t.weights)
             assert np.all(t.i < t.j) and np.all(t.w > 0)
             assert np.all(np.diff(t.i * t.n + t.j) > 0)
@@ -111,6 +112,28 @@ class TestTopologyNew:
         t = topology_new(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             t.weights[0, 1] = 5.0
+
+    def test_state_is_the_edge_arrays(self):
+        for t in (path_topology(4, 2.0), Topology(3, [[0, 1, 0], [1, 0, 2], [0, 2, 0]])):
+            laplacian(t)
+            first, second = t.weights, t.weights
+            assert sorted(vars(t)) == ["i", "j", "n", "w"]
+            np.testing.assert_array_equal(first, second)
+            assert first is not second
+            assert not first.flags.writeable and not second.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "topology needs at least one vertex"),
+            (1, "a cycle needs at least 3 vertices, got n=1"),
+            (2, "a cycle needs at least 3 vertices, got n=2"),
+        ],
+    )
+    def test_cycle_needs_three_vertices(self, n, message):
+        with pytest.raises(TopologyError) as excinfo:
+            cycle_topology(n)
+        assert str(excinfo.value) == message
 
     def test_invariants_fuzz(self, rng):
         for _ in range(50):

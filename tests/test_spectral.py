@@ -117,13 +117,27 @@ class TestAlgebraicConnectivity:
         assert lam2 == pytest.approx(expected, abs=1e-10)
         assert lam2 == pytest.approx(0.675190, abs=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_weighted_path_p3_closed_form(self, scale):
+        # Path 0-1-2 with weights a, b: the nonzero eigenvalues are
+        # (a+b) -+ sqrt(a^2 - ab + b^2), and lam2 is written without the
+        # cancellation. eigvalsh resolves an eigenvalue to about eps * lam_max,
+        # so its relative error in lam2 may grow as lam_max / lam2.
+        eps = np.finfo(float).eps
+        for ratio in np.logspace(-4, 4, 81):
+            a, b = scale * ratio, scale
+            root = math.sqrt(a * a - a * b + b * b)
+            lam2, lam_max = 3 * a * b / ((a + b) + root), (a + b) + root
+            got = algebraic_connectivity(topology_new(3, [(0, 1, a), (1, 2, b)]))
+            assert abs(got - lam2) / lam2 <= 4 * eps * lam_max / lam2, (a, b, got, lam2)
+
     def test_uniform_scaling(self, rng):
         for _ in range(20):
             t = random_connected_topology(rng, 5)
             c = rng.uniform(0.1, 10.0)
             lam2 = algebraic_connectivity(t)
             lam2_scaled = algebraic_connectivity(
-                topology_new(5, [(i, j, c * w) for i, j, w in t.edges()])
+                topology_new(5, zip(t.i, t.j, c * t.w))
             )
             assert lam2_scaled == pytest.approx(c * lam2, rel=1e-9)
 

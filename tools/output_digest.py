@@ -5,7 +5,7 @@
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
 and so are the scenarios that fuzz-small integrates for its six seed-1
-"tiny" cases. Then seven families run in this process, on ftagree
+"tiny" cases. Then eight families run in this process, on ftagree
 imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
@@ -19,6 +19,9 @@ imported from DIR/src:
              each trajectory's columns, status, converged_at and final_value
   errors     the faulty scenarios of ERROR_CASES, each under its command,
              and two valid controls: what the CLI prints on a fault
+  graph      each topology of the 60 spectral-mid files, through the public
+             API: n, i, j, w, weights, laplacian, the edge arrays of
+             exponent_transform(t, 0.5), and is_connected
 
 One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
@@ -106,6 +109,15 @@ def fuzz_texts(ft, workloads):
                 protocol, c.alpha, c.x0, fuzz.dt, 1.1 * bound + 1.0, c.tol, graphs, dwell)
 
 
+def graph_bytes(ft, t) -> bytes:
+    """A Topology's edge arrays, its dense forms, its transform at
+    alpha = 0.5 and its connectedness, each array with dtype and shape."""
+    b = ft.exponent_transform(t, 0.5)
+    arrays = (t.i, t.j, t.w, t.weights, ft.laplacian(t), b.i, b.j, b.w)
+    head = repr((t.n, b.n, ft.is_connected(t))).encode()
+    return head + b"".join(f"{a.dtype}{a.shape}".encode() + a.tobytes() for a in arrays)
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -144,12 +156,15 @@ def main(argv=None) -> int:
     run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
-        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch", "errors")
+        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch", "errors", "graph")
         families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
             for command in ("bounds", "spectral"):
                 families[command].run(run_cli, Path(case.path).name, [command, case.path])
+            sc = ft.parse_scenario(Path(case.path).read_text(encoding="utf-8"))
+            for top_name, t in sc.topologies.items():
+                families["graph"].add(f"{Path(case.path).name}:{top_name}", graph_bytes(ft, t))
         (tmp / "sparse").mkdir()
         for case in workloads.SparseLarge().generate(1, "full", tmp / "sparse"):
             for scn, csv, report in case.files.values():
