@@ -186,12 +186,18 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     a vertex's edge terms in the same order as in the run alone, so every
     trajectory equals the one-at-a-time run's bit for bit.
 
-    The loop only advances the state: on agreement a run snaps a copy of
-    its block to the block mean, and it keeps a copy of its block, with
-    its V1, V2 and sum, at each step it records. The t and spread columns
-    are derived from the kept rows afterwards. A running run whose state
-    is not finite, or whose kept V1, V2 or sum is not, raises
-    NumericalBlowup naming its index at that step.
+    The loop runs RK4 from event to event: after the events of step k
+    it takes the steps up to the next one (record, switch or end, and at
+    most _WINDOW of them) into a buffer, then checks every buffered step
+    at once and goes back to the first at which a running run agrees or
+    its state is not finite; the steps after it are thrown away. Once a
+    running run's spread is within 4 agree_tol, it steps one at a time.
+    On agreement a run snaps a copy of its block to the block mean, and
+    at each step it records it keeps a copy of its block. The t, V1 (on
+    each row's topology), V2, sum and spread columns are derived from
+    the kept rows afterwards. A running run whose state is not finite
+    raises NumericalBlowup naming its index at that step, and so does a
+    kept row whose V1, V2 or sum overflows (see _Run._keep).
     """
     groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
@@ -202,9 +208,17 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     return [run.trajectory() for run in runs]
 
 
+# The most RK4 steps taken between two checks of the state, and the most
+# values (2 MB) that the buffer of a window's states may hold: a union of
+# over 2**18 vertices steps one step at a time.
+_WINDOW = 32
+_WINDOW_VALUES = 2**18
+
+
 class _Run:
     """One scenario of a batch: its phases, its union block x[lo:hi] and
-    its phases' edges there, its next events and the rows it has kept."""
+    its phases' edges there, its next events and the rows it has kept.
+    A row is only (step, state, phase); trajectory() derives the rest."""
 
     def __init__(self, sc: Scenario, index: int):
         self.sc = sc
@@ -215,11 +229,14 @@ class _Run:
         self.phase = 0
         self.next_switch = self.dwells[0] if len(self.dwells) > 1 else math.inf
         self.next_event = 0  # step 0 is recorded
-        self.rows = []  # (step, state, V1, V2, sum) for every recorded step
+        self.rows = []  # (step, state, phase) for every recorded step
         self.agreed = self.done = False
+        # For a block of spread s: 2 V1 <= sum(w) s^2 and 2 V2 <= n s^2.
+        self.scale = max([float(sc.x0.size)] + [float(top.w.sum()) for top in self.tops])
 
-    def step(self, k: int, x: np.ndarray, agreed: bool) -> None:
-        """Switch phase, snap, record or end at step k, as due."""
+    def step(self, k: int, x: np.ndarray, agreed: bool, high: float, low: float) -> None:
+        """Switch phase, snap, record or end at step k, as due; high and
+        low are the max and min of the block at step k."""
         block = x[self.lo:self.hi]
         self.agreed = agreed
         self.done = agreed or k == self.steps
@@ -227,30 +244,53 @@ class _Run:
             self.phase = (self.phase + 1) % len(self.dwells)
             self.next_switch = k + self.dwells[self.phase]
         if agreed:
-            self._keep(k, np.full(block.size, block.mean()))
+            self._keep(k, np.full(block.size, block.mean()), high, low)
         elif self.done or k % self.sc.record_every == 0:
-            self._keep(k, block.copy())
+            self._keep(k, block.copy(), high, low)
         if self.done:
             return
         every = self.sc.record_every
         self.next_event = min(k - k % every + every, self.steps, self.next_switch)
 
-    def _keep(self, k: int, state: np.ndarray) -> None:
-        """Keep the state of step k with its V1, V2 and sum; a finite
-        state can still overflow them, which ends the batch."""
-        top = self.tops[self.phase]
-        row = (k, state, bounds.v1(top, state), bounds.v2(state), float(state.sum()))
-        if not all(map(math.isfinite, row[2:])):
-            raise NumericalBlowup(
-                f"V1, V2 or the state sum is not finite at t={k * self.sc.dt} "
-                f"in run {self.index}"
-            )
-        self.rows.append(row)
+    def _keep(self, k: int, state: np.ndarray, high: float, low: float) -> None:
+        """Keep the state of step k. A finite state can still overflow its
+        V1, V2 or sum, which ends the batch. Bounds from the block's high
+        and low rule that out for almost every row; only a row whose bound
+        reaches 1e300 gets its values computed here."""
+        big = max(high, -low)  # max |x|
+        # x - mean(x) can exceed the spread by the rounding of the mean.
+        s = high - low + 1e-13 * big
+        if self.scale * s * s >= 2e300 or self.sc.x0.size * big >= 1e300:
+            top = self.tops[self.phase]
+            values = (bounds.v1(top, state), bounds.v2(state), float(state.sum()))
+            if not all(map(math.isfinite, values)):
+                raise NumericalBlowup(
+                    f"V1, V2 or the state sum is not finite at t={k * self.sc.dt} "
+                    f"in run {self.index}"
+                )
+        self.rows.append((k, state, self.phase))
 
     def trajectory(self) -> Trajectory:
         sc = self.sc
-        ks, states, v1, v2, total = map(np.array, zip(*self.rows))
+        ks, states, phases = map(np.array, zip(*self.rows))
         t = ks * sc.dt
+        v1, v2 = np.empty(len(ks)), np.empty(len(ks))
+        # V1 and V2 by blocks of rows of one phase, each temporary at most
+        # 2**13 values (64 kB): small enough to stay in the cache and below
+        # malloc's mmap threshold, so no page faults, however long the run.
+        size = max(1, 2**13 // max([states.shape[1]] + [top.i.size for top in self.tops]))
+        ends = {*(np.flatnonzero(np.diff(phases)) + 1).tolist(), *range(size, len(ks), size)}
+        a = 0
+        for b in sorted(ends | {len(ks)}):
+            x, top = states[a:b], self.tops[phases[a]]
+            # Equal to bounds.v1 and bounds.v2 of each row bit for bit: every
+            # sum runs along a C-ordered row, as in 1-D (take gives C order;
+            # x[:, j] would give F order and other sums).
+            d = x.take(top.j, axis=1) - x.take(top.i, axis=1)
+            v1[a:b] = (top.w * d * d).sum(axis=1) / 2.0
+            d = x - x.mean(axis=1, keepdims=True)
+            v2[a:b] = 0.5 * (d * d).sum(axis=1)
+            a = b
         agreed = self.agreed
         return Trajectory(
             t=t,
@@ -258,7 +298,7 @@ class _Run:
             v1=v1,
             v2=v2,
             spread=states.max(axis=1) - states.min(axis=1),
-            sum=total,
+            sum=states.sum(axis=1),
             status="Converged" if agreed else "TimedOut",
             converged_at=float(t[-1]) if agreed else None,
             final_value=float(states[-1, 0]) if agreed else None,
@@ -280,28 +320,39 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
     x = np.concatenate([run.sc.x0 for run in runs])
     starts = np.array([run.lo for run in runs])
     tol = np.array([run.sc.agree_tol for run in runs])
-    live, f, next_event = runs, None, 0
+    live, f, next_event, k = runs, None, 0, 0
+    # The states of a window, one row per step; from the first window on,
+    # x is one of its rows. high, low and spread are per block, at step k.
+    rows = min(_WINDOW, max(1, _WINDOW_VALUES // x.size), max(run.steps for run in runs))
+    window = np.empty((rows, x.size))
+    # The state each stage evaluates the field at, and the weighted sum of
+    # the stages (a field may return integer zeros, so not in place).
+    xk, acc = np.empty(x.size), np.empty(x.size)
+    high, low = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
+    spread = high - low
 
+    add, mul = np.add, np.multiply
     half = dt / 2.0
     sixth = dt / 6.0
     # A diverging run is caught by its non-finite spread (max and min pass
     # nan and inf through), so numpy's overflow warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max(run.steps for run in runs) + 1):
-            spread = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+        while True:
             if not math.isfinite(np.maximum.reduce(spread)):
                 # Ended blocks are frozen and finite.
                 r = runs[int(np.argmin(np.isfinite(spread)))].index
                 raise NumericalBlowup(f"non-finite state at t={k * dt} in run {r}")
             hit = (spread <= tol).tolist()
             if k == next_event or True in hit:
+                high_k, low_k = high.tolist(), low.tolist()
                 changed = f is None
                 for run in live:
-                    if hit[run.pos] or k == run.next_event:
+                    pos = run.pos
+                    if hit[pos] or k == run.next_event:
                         changed |= k == run.next_switch
-                        run.step(k, x, hit[run.pos])
+                        run.step(k, x, hit[pos], high_k[pos], low_k[pos])
                         if run.done:
-                            tol[run.pos] = -math.inf
+                            tol[pos] = -math.inf
                             changed = True
                 if changed:
                     live = [run for run in live if not run.done]
@@ -312,11 +363,29 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
                     edges = zip(*(run.phase_edges[run.phase] for run in live))
                     f = edge_field(protocol, *map(np.concatenate, edges), x.size)
                 next_event = min(run.next_event for run in live)
-            k1 = f(x)
-            k2 = f(x + half * k1)
-            k3 = f(x + half * k2)
-            k4 = f(x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            # A window past an agreement is thrown away, so a run near one
+            # (ended runs have tol -inf) is stepped one step at a time.
+            m = 1 if (spread <= 4.0 * tol).any() else min(next_event - k, len(window))
+            for row in window[:m]:
+                # x + sixth * (k1 + 2 (k2 + k3) + k4), operation for
+                # operation, written into the window's row.
+                k1 = f(x)
+                k2 = f(add(x, mul(half, k1, out=xk), out=xk))
+                k3 = f(add(x, mul(half, k2, out=xk), out=xk))
+                k4 = f(add(x, mul(dt, k3, out=xk), out=xk))
+                mul(2.0, add(k2, k3, out=acc), out=acc)
+                mul(sixth, add(add(k1, acc, out=acc), k4, out=acc), out=acc)
+                x = add(x, acc, out=row)
+            highs = np.maximum.reduceat(window[:m], starts, axis=1)
+            lows = np.minimum.reduceat(window[:m], starts, axis=1)
+            spreads = highs - lows
+            # The first step at which a run agrees or is not finite, or the last.
+            s = m - 1
+            if m > 1:
+                calm = ((tol < spreads) & (spreads < math.inf)).all(axis=1)
+                s = m - 1 if calm.all() else int(calm.argmin())
+            k += s + 1
+            x, high, low, spread = window[s], highs[s], lows[s], spreads[s]
 
 
 @dataclass(frozen=True)

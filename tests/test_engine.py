@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import types
 from itertools import accumulate
 
@@ -666,7 +667,8 @@ def assert_bytes_equal(traj, ref):
 def mixed_corpus(seed=20261019):
     """P1, P2 and linear runs on n = 1..8 vertices, with fixed topologies
     and cyclic and non-cyclic schedules, two alphas and two step sizes,
-    and per-run agree_tol, t_max and record_every."""
+    and per-run agree_tol, t_max and record_every (one of them more than
+    the loop's window of steps, and one agreeing inside a window)."""
     rng = np.random.default_rng(seed)
     kinds = [ProtocolKind.P1, ProtocolKind.P2, ProtocolKind.LINEAR]
     scenarios = []
@@ -703,6 +705,19 @@ def mixed_corpus(seed=20261019):
             record_every=int(rng.integers(1, 12)),
             **timing,
         ))
+    # One P2 run records less often than a window of the loop holds steps.
+    scenarios.append(Scenario(
+        protocol=P2_HALF,
+        topologies={"G": random_topology(rng, 5, p=0.7)},
+        topology="G",
+        x0=rng.uniform(-5, 5, 5),
+        dt=1e-2,
+        t_max=3.0,
+        agree_tol=1e-4,
+        record_every=2 * engine._WINDOW + 1,
+    ))
+    # One agrees at step 19, inside a window of 20 steps.
+    scenarios.append(two_agent_scenario(dt=0.05, agree_tol=5e-3, record_every=20))
     # One run agrees at step 0, and one times out at its t_max.
     scenarios.append(two_agent_scenario(x0=[3.0, 3.0], record_every=7))
     scenarios.append(two_agent_scenario(P1_HALF, t_max=0.2, record_every=3))
@@ -723,18 +738,21 @@ class TestIntegrateBatch:
 
     def test_the_union_holds_the_live_runs_current_phases(self, monkeypatch):
         # Each field build holds, in run order, the current phase's edges of
-        # every run that has not ended, offset into the run's block.
-        builds, evals = [], []
+        # every run that has not ended, offset into the run's block. A build
+        # follows the events of a step, so it is noted with the last step
+        # that a run handled (steps the loop throws away handle none).
+        builds, steps = [], []
+        run_step = engine._Run.step
+
+        def noting_step(run, k, *args):
+            steps.append(k)
+            run_step(run, k, *args)
 
         def recording_field(protocol, i, j, w, n):
-            builds.append((len(evals) // 4, i, j, w))  # RK4 evaluates 4 times a step
-            f = edge_field(protocol, i, j, w, n)
+            builds.append((steps[-1], i, j, w))
+            return edge_field(protocol, i, j, w, n)
 
-            def counted(x):
-                evals.append(None)
-                return f(x)
-            return counted
-
+        monkeypatch.setattr(engine._Run, "step", noting_step)
         monkeypatch.setattr(engine, "edge_field", recording_field)
         dt = 0.01
         path, full = path_topology(4), complete_topology(4)  # 3 and 6 edges
@@ -772,6 +790,39 @@ class TestIntegrateBatch:
         # Run 0 has ended by a later build, and each switching run's phases show.
         assert builds[0][0] == 0 and any(k >= ends[0] for k, *_ in builds)
         assert {(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)} <= seen
+
+    def test_a_row_near_the_float_range_is_checked_exactly_and_kept(self, monkeypatch):
+        # Two agents 2e150 apart: V1 = 2e300 trips the cheap bound at every
+        # recorded step, but V1, V2 = 1e300 and the sum stay finite, so the
+        # exact check passes and the run reaches its t_max.
+        sc = two_agent_scenario(x0=[0.0, 2e150], dt=0.01, t_max=0.1, record_every=3)
+        ref = reference_integrate(sc)
+        calls = []
+        exact_v1 = engine.bounds.v1
+
+        def counted_v1(*args):
+            calls.append(None)
+            return exact_v1(*args)
+
+        monkeypatch.setattr(engine.bounds, "v1", counted_v1)
+        traj = integrate(sc)
+        assert_bytes_equal(traj, ref)
+        assert traj.status == "TimedOut" and traj.t[-1] == sc.t_max
+        assert len(calls) == len(traj.t) == 5
+
+    def test_a_blowup_between_events_names_its_step(self):
+        # Linear RK4 at dt = 10 multiplies the spread by about 5,500 a step,
+        # so the state stops being finite long before the first record, in
+        # the middle of a window.
+        sc = two_agent_scenario(
+            ProtocolSpec(ProtocolKind.LINEAR), dt=10.0, t_max=1e4, record_every=1000
+        )
+        with pytest.raises(NumericalBlowup) as ref:
+            reference_integrate(sc)
+        k = round(float(re.search(r"t=(\S+)$", str(ref.value)).group(1)) / sc.dt)
+        assert 0 < k < 1000 and k % engine._WINDOW != 0
+        with pytest.raises(NumericalBlowup, match=re.escape(str(ref.value)) + " in run 0$"):
+            integrate(sc)
 
     def test_blowup_names_the_diverging_run(self):
         linear = ProtocolSpec(ProtocolKind.LINEAR)
