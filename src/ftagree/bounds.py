@@ -41,23 +41,28 @@ def lemma1_constant(n: int, p: float) -> float:
     return min(float(n) ** (1.0 - p), 1.0)
 
 
-def v1(t: Topology, x) -> float:
+def v1(t: Topology, x):
     """Edge-energy Lyapunov value: half the weighted sum of squared state
-    differences over the edges (half the Laplacian quadratic form)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (t.n,):
+    differences over the edges (half the Laplacian quadratic form). A float
+    for a state; for an m×n stack, each row's value, bit for bit as its own
+    1-D call (sums run along C-ordered rows; x[:, j] would sum in F order)."""
+    x = np.asarray(x, dtype=float, order="C")
+    if x.ndim > 2 or x.shape[-1:] != (t.n,):
         raise ValidationError(f"state has shape {x.shape}, topology has n={t.n}")
-    d = x[t.j] - x[t.i]
-    return float((t.w * d * d).sum() / 2.0)
+    d = x.take(t.j, axis=-1) - x.take(t.i, axis=-1)
+    v = (t.w * d * d).sum(axis=-1) / 2.0
+    return float(v) if v.ndim == 0 else v
 
 
-def v2(x) -> float:
-    """Disagreement energy: half the squared norm of x minus its mean."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
+def v2(x):
+    """Disagreement energy: half the squared norm of x minus its mean; of
+    a state or of each row of a stack, as v1."""
+    x = np.asarray(x, dtype=float, order="C")
+    if not 1 <= x.ndim <= 2 or x.shape[-1] < 1:
         raise ValidationError("state must be a nonempty vector")
-    d = x - float(x.mean())
-    return float(0.5 * (d * d).sum())
+    d = x - x.mean(axis=-1, keepdims=True)
+    v = 0.5 * (d * d).sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
 
 
 def _check_bound_args(v_0: Optional[float], lam2: Optional[float], alpha: Optional[float],
@@ -172,15 +177,23 @@ def _resolved_connectivity(t: Topology, name: str, laplacian: str) -> float:
 
 
 def k1_constant(lambda2_A: float, alpha: float) -> float:
-    """Decay constant for the protocol-1 envelope: (2 lam2)**((1+alpha)/2)."""
-    _check_bound_args(None, lambda2_A, alpha)
-    return (2.0 * lambda2_A) ** ((1.0 + alpha) / 2.0)
+    """Decay constant for the protocol-1 envelope: (2 lam2)**((1+alpha)/2),
+    taken as 2**p * lam2**p: 2 lam2 can overflow where K1 does not."""
+    return _decay_constant((1.0 + alpha) / 2.0, lambda2_A, alpha)
 
 
 def k2_constant(lambda2_B: float, alpha: float) -> float:
     """Decay constant for the protocol-2 envelope: 2**alpha * lam2B**((1+alpha)/2)."""
-    _check_bound_args(None, lambda2_B, alpha)
-    return 2.0 ** alpha * lambda2_B ** ((1.0 + alpha) / 2.0)
+    return _decay_constant(alpha, lambda2_B, alpha)
+
+
+def _decay_constant(e: float, lam2: float, alpha: float) -> float:
+    """2**e * lam2**((1+alpha)/2), refused where it does not fit in a double."""
+    _check_bound_args(None, lam2, alpha)
+    K = 2.0 ** e * lam2 ** ((1.0 + alpha) / 2.0)
+    if not math.isfinite(K):
+        raise NumericalBlowup(f"decay constant at lambda2 = {lam2} does not fit in a double")
+    return K
 
 
 def envelope(v_0: float, K: float, alpha: float, t):

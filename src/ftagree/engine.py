@@ -35,8 +35,7 @@ class SwitchingSchedule:
         for name, dwell in self.phases:
             if not (math.isfinite(dwell) and dwell > 0):
                 raise ValidationError(
-                    f"phase {name!r} needs a finite positive dwell, got {dwell}"
-                )
+                    f"phase {name!r} needs a finite positive dwell, got {dwell}")
         if not math.isfinite(self.period):
             raise ValidationError("schedule period must be finite")
         object.__setattr__(self, "phases", tuple(self.phases))
@@ -95,8 +94,7 @@ class Scenario:
             raise ValidationError(f"t_max/dt = {self.t_max}/{self.dt} is too many steps")
         if not (float(self.record_every).is_integer() and self.record_every >= 1):
             raise ValidationError(
-                f"record_every must be an integer >= 1, got {self.record_every}"
-            )
+                f"record_every must be an integer >= 1, got {self.record_every}")
         if (self.schedule is None) == (self.topology is None):
             raise ValidationError("scenario needs exactly one of: schedule, topology")
         # A fixed topology's one phase (dwell dt) is always one step.
@@ -107,8 +105,7 @@ class Scenario:
             n = dwell / self.dt
             if not (math.isfinite(n) and abs(n - round(n)) <= 1e-6 and round(n) >= 1):
                 raise ValidationError(
-                    f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}"
-                )
+                    f"dwell {dwell} of phase {name!r} is not a multiple of dt={self.dt}")
             steps.append(round(n))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "topologies", topologies)
@@ -125,8 +122,7 @@ class Scenario:
         if not self.schedule.cyclic and sum(steps) <= round(self.t_max / self.dt):
             raise ValidationError(
                 f"non-cyclic schedule ends at t={self.schedule.period:g}, "
-                f"not after t_max={self.t_max:g}"
-            )
+                f"not after t_max={self.t_max:g}")
 
     @property
     def phases(self) -> Tuple[Tuple[str, float], ...]:
@@ -193,11 +189,10 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     its state is not finite; the steps after it are thrown away. Once a
     running run's spread is within 4 agree_tol, it steps one at a time.
     On agreement a run snaps a copy of its block to the block mean, and
-    at each step it records it keeps a copy of its block. The t, V1 (on
-    each row's topology), V2, sum and spread columns are derived from
-    the kept rows afterwards. A running run whose state is not finite
-    raises NumericalBlowup naming its index at that step, and so does a
-    kept row whose V1, V2 or sum overflows (see _Run._keep).
+    at each step it records it keeps a copy of its block. The columns come
+    afterwards from these rows, V1 and V2 by bounds.v1 and bounds.v2. A
+    running run whose state is not finite raises NumericalBlowup naming
+    its index at that step, as does a kept row whose V1, V2 or sum overflows.
     """
     groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
@@ -218,7 +213,8 @@ _WINDOW_VALUES = 2**18
 class _Run:
     """One scenario of a batch: its phases, its union block x[lo:hi] and
     its phases' edges there, its next events and the rows it has kept.
-    A row is only (step, state, phase); trajectory() derives the rest."""
+    A row is only (step, state, phase); trajectory() derives the rest,
+    V1 (on each row's topology) and V2 by bounds on blocks of rows."""
 
     def __init__(self, sc: Scenario, index: int):
         self.sc = sc
@@ -266,32 +262,22 @@ class _Run:
             if not all(map(math.isfinite, values)):
                 raise NumericalBlowup(
                     f"V1, V2 or the state sum is not finite at t={k * self.sc.dt} "
-                    f"in run {self.index}"
-                )
+                    f"in run {self.index}")
         self.rows.append((k, state, self.phase))
 
     def trajectory(self) -> Trajectory:
-        sc = self.sc
         ks, states, phases = map(np.array, zip(*self.rows))
-        t = ks * sc.dt
-        v1, v2 = np.empty(len(ks)), np.empty(len(ks))
-        # V1 and V2 by blocks of rows of one phase, each temporary at most
-        # 2**13 values (64 kB): small enough to stay in the cache and below
-        # malloc's mmap threshold, so no page faults, however long the run.
+        t = ks * self.sc.dt
+        # V1 and V2 by bounds.v1 and bounds.v2 on blocks of rows of one phase:
+        # each temporary is at most 2**13 values (64 kB), in the cache and
+        # below malloc's mmap threshold, so no page faults however long the run.
         size = max(1, 2**13 // max([states.shape[1]] + [top.i.size for top in self.tops]))
-        ends = {*(np.flatnonzero(np.diff(phases)) + 1).tolist(), *range(size, len(ks), size)}
-        a = 0
-        for b in sorted(ends | {len(ks)}):
-            x, top = states[a:b], self.tops[phases[a]]
-            # Equal to bounds.v1 and bounds.v2 of each row bit for bit: every
-            # sum runs along a C-ordered row, as in 1-D (take gives C order;
-            # x[:, j] would give F order and other sums).
-            d = x.take(top.j, axis=1) - x.take(top.i, axis=1)
-            v1[a:b] = (top.w * d * d).sum(axis=1) / 2.0
-            d = x - x.mean(axis=1, keepdims=True)
-            v2[a:b] = 0.5 * (d * d).sum(axis=1)
-            a = b
-        agreed = self.agreed
+        cuts = sorted({0, len(ks), *(np.flatnonzero(np.diff(phases)) + 1).tolist(),
+                       *range(size, len(ks), size)})
+        v1, v2 = np.empty(len(ks)), np.empty(len(ks))
+        for a, b in zip(cuts, cuts[1:]):
+            v1[a:b] = bounds.v1(self.tops[phases[a]], states[a:b])
+            v2[a:b] = bounds.v2(states[a:b])
         return Trajectory(
             t=t,
             x=states,
@@ -299,11 +285,11 @@ class _Run:
             v2=v2,
             spread=states.max(axis=1) - states.min(axis=1),
             sum=states.sum(axis=1),
-            status="Converged" if agreed else "TimedOut",
-            converged_at=float(t[-1]) if agreed else None,
-            final_value=float(states[-1, 0]) if agreed else None,
-            protocol=sc.protocol,
-            dt=sc.dt,
+            status="Converged" if self.agreed else "TimedOut",
+            converged_at=float(t[-1]) if self.agreed else None,
+            final_value=float(states[-1, 0]) if self.agreed else None,
+            protocol=self.sc.protocol,
+            dt=self.sc.dt,
         )
 
 
@@ -325,15 +311,14 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
     # x is one of its rows. high, low and spread are per block, at step k.
     rows = min(_WINDOW, max(1, _WINDOW_VALUES // x.size), max(run.steps for run in runs))
     window = np.empty((rows, x.size))
-    # The state each stage evaluates the field at, and the weighted sum of
-    # the stages (a field may return integer zeros, so not in place).
-    xk, acc = np.empty(x.size), np.empty(x.size)
+    # The state each stage evaluates the field at; once k4 is taken, the
+    # weighted sum of the stages.
+    xk = np.empty(x.size)
     high, low = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
     spread = high - low
 
     add, mul = np.add, np.multiply
-    half = dt / 2.0
-    sixth = dt / 6.0
+    half, sixth = dt / 2.0, dt / 6.0
     # A diverging run is caught by its non-finite spread (max and min pass
     # nan and inf through), so numpy's overflow warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,9 +358,9 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
                 k2 = f(add(x, mul(half, k1, out=xk), out=xk))
                 k3 = f(add(x, mul(half, k2, out=xk), out=xk))
                 k4 = f(add(x, mul(dt, k3, out=xk), out=xk))
-                mul(2.0, add(k2, k3, out=acc), out=acc)
-                mul(sixth, add(add(k1, acc, out=acc), k4, out=acc), out=acc)
-                x = add(x, acc, out=row)
+                mul(2.0, add(k2, k3, out=xk), out=xk)
+                mul(sixth, add(add(k1, xk, out=xk), k4, out=xk), out=xk)
+                x = add(x, xk, out=row)
             highs = np.maximum.reduceat(window[:m], starts, axis=1)
             lows = np.minimum.reduceat(window[:m], starts, axis=1)
             spreads = highs - lows

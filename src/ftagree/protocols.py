@@ -57,6 +57,8 @@ def edge_field(spec: ProtocolSpec, i, j, w, n):
     alpha = spec.alpha
     sig_edges = spec.kind is ProtocolKind.P2
     sig_vertices = spec.kind is ProtocolKind.P1
+    if not len(i):  # bincount of no edges gives integer zeros
+        return lambda x: np.zeros(n)
     # RK4 calls u four times a step, on small arrays, so u looks up no
     # globals and calls no helpers.
     bincount, copysign, absolute = np.bincount, np.copysign, np.abs

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -113,14 +114,65 @@ class TestDisagreement:
 class TestV2:
     def test_six_agent(self):
         assert v2(X0_SIX) == pytest.approx(78.4167, abs=5e-5)
-        with pytest.raises(ValidationError, match="state must be a nonempty vector"):
-            v2(np.array([X0_SIX, 5.0 * np.ones(6)]))
+        got = v2(np.array([X0_SIX, 5.0 * np.ones(6)]))
+        assert type(got) is np.ndarray and got.tolist() == [v2(X0_SIX), 0.0]
 
     def test_constant(self):
         assert v2(5.0 * np.ones(3)) == 0.0
 
     def test_pair(self):
         assert v2([1.0, -1.0]) == 1.0
+
+
+class TestStacks:
+    """v1 and v2 of an m×n stack of states give one value per row, bit for
+    bit as the row's own 1-D call, whatever the stack's memory layout."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 50])
+    def test_each_row_equals_its_own_call(self, rng, m):
+        for _ in range(12):
+            n = int(rng.integers(1, 41))
+            t = topology_new(n, random_edge_list(rng, n))
+            # Rows of different scales, so a sum in another order shows.
+            scale = 10.0 ** rng.integers(-8, 9, size=(m, 1))
+            stack = rng.uniform(-10, 10, (m, n)) * scale
+            wide = rng.uniform(-10, 10, (m, 2 * n)) * scale
+            layouts = (stack, np.asfortranarray(stack), wide[:, ::2], stack[::-1])
+            for x in layouts:
+                for got, call in ((v1(t, x), lambda row: v1(t, row)), (v2(x), v2)):
+                    expected = np.array([call(row) for row in x], dtype=float)
+                    assert got.shape == (m,) and got.dtype == np.float64
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_a_stack_of_the_wrong_shape_is_refused(self):
+        t = path_topology(3)
+        for x in (np.zeros((2, 4, 3)), np.zeros((4, 2)), np.zeros((4, 0)), np.float64(1.0)):
+            message = f"state has shape {re.escape(str(x.shape))}, topology has n=3"
+            with pytest.raises(ValidationError, match=message):
+                v1(t, x)
+        for x in (np.zeros((2, 4, 3)), np.zeros((4, 0)), np.zeros((0, 0)), np.zeros(0), 1.0):
+            with pytest.raises(ValidationError, match="state must be a nonempty vector"):
+                v2(x)
+
+
+class TestDecayConstants:
+    def test_k1_where_only_twice_lambda2_overflows(self):
+        # 2e308 overflows, but K1 = (2e308)**0.75 is about 1.68e231.
+        assert k1_constant(1e308, 0.5) == pytest.approx(2.0 ** 0.75 * 1e308 ** 0.75, rel=1e-15)
+        assert k1_constant(1e308, 0.5) == pytest.approx(1.6818e231, rel=1e-4)
+
+    @pytest.mark.parametrize("call", [k1_constant, k2_constant])
+    @pytest.mark.parametrize("lam2, alpha", [(math.inf, 0.5), (1.7976931348623157e308, 0.999)])
+    def test_a_constant_past_the_double_range_is_refused(self, call, lam2, alpha):
+        with pytest.raises(NumericalBlowup, match="does not fit in a double"):
+            call(lam2, alpha)
+
+    def test_k1_stays_within_two_ulps_of_the_plain_power(self, rng):
+        lam2s = 10.0 ** rng.uniform(-300, 308, 5000)
+        for lam2, alpha in zip(lam2s.tolist(), rng.uniform(0.0, 1.0, 5000).tolist()):
+            plain = (2.0 * lam2) ** ((1.0 + alpha) / 2.0)
+            if math.isfinite(plain) and alpha > 0.0:
+                assert abs(k1_constant(lam2, alpha) - plain) <= 2.0 * math.ulp(plain)
 
 
 class TestT1Bound:
@@ -297,10 +349,13 @@ def test_nan_connectivity_is_a_bad_argument_not_a_disconnected_graph(call):
 
 
 # Each bound and the number of its scalar arguments (envelope then takes t).
-SCALAR_ARGS = {t1_bound: 3, t2_bound: 3, t3_bound: 3, t1_limit_alpha0: 2, envelope: 3}
+SCALAR_ARGS = {t1_bound: 3, t2_bound: 3, t3_bound: 3, t1_limit_alpha0: 2, envelope: 3,
+               k1_constant: 2, k2_constant: 2}
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
+# 2 lambda2 overflows, K1 does not.
+@example(call=k1_constant, args=[1e308, 0.5, 0.0], t=0.0)
 # The largest double to the power q and back overflows.
 @example(call=envelope, args=[1.7976931348623157e308, 1.0, 0.5], t=[0.0, 1.0])
 @given(

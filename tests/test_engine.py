@@ -34,7 +34,7 @@ from ftagree import (
     v2,
     verify_envelope,
 )
-from conftest import random_topology
+from conftest import random_topology, traced_peak
 from ftagree import engine
 from ftagree.errors import (
     FtagreeError,
@@ -800,15 +800,39 @@ class TestIntegrateBatch:
         calls = []
         exact_v1 = engine.bounds.v1
 
-        def counted_v1(*args):
-            calls.append(None)
-            return exact_v1(*args)
+        def counted_v1(t, x):
+            # trajectory() calls v1 on stacks of rows too; the exact check
+            # of a kept row is a 1-D call.
+            if np.ndim(x) == 1:
+                calls.append(None)
+            return exact_v1(t, x)
 
         monkeypatch.setattr(engine.bounds, "v1", counted_v1)
         traj = integrate(sc)
         assert_bytes_equal(traj, ref)
         assert traj.status == "TimedOut" and traj.t[-1] == sc.t_max
         assert len(calls) == len(traj.t) == 5
+
+    def test_blocks_of_rows_hold_the_trajectory_peak(self):
+        # P2 on a 900-vertex ring with chords (2,700 edges), every one of
+        # its 300 steps recorded: the stack of rows is 2.2 MB, and V1 of it
+        # in one call takes over four times that in edge temporaries.
+        rng = np.random.default_rng(20261021)
+        n = 900
+        edges = [(v, (v + k) % n, w) for k in (1, 7, 31) for v, w in
+                 zip(range(n), rng.uniform(0.5, 2.0, n).tolist())]
+        top = topology_new(n, edges)
+        sc = Scenario(P2_HALF, {"G": top}, rng.uniform(-0.5, 0.5, n), topology="G",
+                      dt=1e-2, t_max=3.0, agree_tol=1e-12, record_every=1)
+        run = engine._Run(sc, 0)
+        engine._run_union([run], sc.protocol, sc.dt)
+        peak = traced_peak(run.trajectory)
+        traj = run.trajectory()
+        assert traj.x.shape == (301, n)
+        cap = traj.x.nbytes + 2**20
+        assert peak < cap < traced_peak(lambda: (v1(top, traj.x), v2(traj.x)))
+        assert traj.v1.tobytes() == np.array([v1(top, x) for x in traj.x]).tobytes()
+        assert traj.v2.tobytes() == np.array([v2(x) for x in traj.x]).tobytes()
 
     def test_a_blowup_between_events_names_its_step(self):
         # Linear RK4 at dt = 10 multiplies the spread by about 5,500 a step,

@@ -233,6 +233,14 @@ class TestSharedProperties:
                 )
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("spec", [ProtocolSpec("p1", 0.5), ProtocolSpec("p2", 0.5),
+                                  ProtocolSpec("linear")], ids=["p1", "p2", "linear"])
+def test_an_edgeless_topology_gives_float_zeros(spec, n):
+    u = field(spec, topology_new(n, []), np.arange(n, dtype=float))
+    assert u.dtype == np.float64 and u.tobytes() == np.zeros(n).tobytes()
+
+
 class TestProtocolSpec:
     def test_alpha_validation(self):
         ProtocolSpec(ProtocolKind.P1, 0.5)

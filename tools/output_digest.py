@@ -5,12 +5,15 @@
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
 and so are the scenarios that fuzz-small integrates for its six seed-1
-"tiny" cases. Then eight families run in this process, on ftagree
+"tiny" cases. Then nine families run in this process, on ftagree
 imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
   spectral   ``spectral`` on the same 60 files
   simulate   ``simulate --out --report`` on each of the 24 sparse-large files
+  sparse-batch  the same 24 sparse-large scenarios in one ``integrate_batch``
+             call, hashed as in ``batch``: with about 2,900 edges a run's
+             V1 and V2 columns span several blocks of rows
   repro      ``repro --outdir``
   fuzz       ``simulate --out --report`` on each fuzz-small scenario: P1 and
              P2 on the case's first topology, and P2 on its cyclic A, B, C
@@ -118,6 +121,13 @@ def graph_bytes(ft, t) -> bytes:
     return head + b"".join(f"{a.dtype}{a.shape}".encode() + a.tobytes() for a in arrays)
 
 
+def trajectory_bytes(traj) -> bytes:
+    """A trajectory's raw columns, then its status, converged_at and final_value."""
+    columns = (traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum)
+    outcome = repr((traj.status, traj.converged_at, traj.final_value))
+    return b"".join(c.tobytes() for c in columns) + outcome.encode()
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -156,7 +166,8 @@ def main(argv=None) -> int:
     run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
-        names = ("bounds", "spectral", "simulate", "repro", "fuzz", "batch", "errors", "graph")
+        names = ("bounds", "spectral", "simulate", "sparse-batch", "repro", "fuzz", "batch",
+                 "errors", "graph")
         families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
@@ -166,10 +177,15 @@ def main(argv=None) -> int:
             for top_name, t in sc.topologies.items():
                 families["graph"].add(f"{Path(case.path).name}:{top_name}", graph_bytes(ft, t))
         (tmp / "sparse").mkdir()
+        sparse = []
         for case in workloads.SparseLarge().generate(1, "full", tmp / "sparse"):
             for scn, csv, report in case.files.values():
                 argv = ["simulate", scn, "--out", csv, "--report", report]
                 families["simulate"].run(run_cli, Path(scn).name, argv, (csv, report))
+                sparse.append(Path(scn))
+        scenarios = [ft.parse_scenario(scn.read_text(encoding="utf-8")) for scn in sparse]
+        for scn, traj in zip(sparse, ft.integrate_batch(scenarios)):
+            families["sparse-batch"].add(scn.name, trajectory_bytes(traj))
         outdir = tmp / "repro"
         families["repro"].run(run_cli, "repro", ["repro", "--outdir", str(outdir)])
         for path in sorted(outdir.iterdir()):
@@ -184,9 +200,7 @@ def main(argv=None) -> int:
             families["fuzz"].run(run_cli, scn.name, argv, (csv, report))
         trajectories = ft.integrate_batch([ft.parse_scenario(text) for _, text in texts])
         for (label, _), traj in zip(texts, trajectories):
-            columns = (traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum)
-            outcome = repr((traj.status, traj.converged_at, traj.final_value))
-            families["batch"].add(label, b"".join(c.tobytes() for c in columns) + outcome.encode())
+            families["batch"].add(label, trajectory_bytes(traj))
         (tmp / "errors").mkdir()
         for label, command, text in ERROR_CASES:
             scn = tmp / "errors" / f"{label}.scn"
