@@ -227,8 +227,10 @@ class _Run:
         self.next_event = 0  # step 0 is recorded
         self.rows = []  # (step, state, phase) for every recorded step
         self.agreed = self.done = False
-        # For a block of spread s: 2 V1 <= sum(w) s^2 and 2 V2 <= n s^2.
-        self.scale = max([float(sc.x0.size)] + [float(top.w.sum()) for top in self.tops])
+        # For a block of spread s: 2 V1 <= sum(w) s^2 and 2 V2 <= n s^2. A
+        # sum(w) past the float range sends every kept row to the exact check.
+        with np.errstate(over="ignore"):
+            self.scale = max([float(sc.x0.size)] + [float(top.w.sum()) for top in self.tops])
 
     def step(self, k: int, x: np.ndarray, agreed: bool, high: float, low: float) -> None:
         """Switch phase, snap, record or end at step k, as due; high and

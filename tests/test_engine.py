@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import types
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -36,6 +37,7 @@ from ftagree import (
 )
 from conftest import random_topology, traced_peak
 from ftagree import engine
+from ftagree.cli import run_cli
 from ftagree.errors import (
     FtagreeError,
     NumericalBlowup,
@@ -735,6 +737,49 @@ class TestIntegrateBatch:
             assert_bytes_equal(traj, ref)
         for sc, ref in zip(scenarios, refs):
             assert_bytes_equal(integrate(sc), ref)
+
+    @pytest.mark.parametrize("cap, wide", [(1, set()), (7, {(3, 2)})])
+    def test_a_window_capped_by_its_values_keeps_every_run(self, monkeypatch, cap, wide):
+        # A cap of 1 value steps every union one row at a time; a cap of 7
+        # gives the two-agent unions windows of 3 rows, and the rest 1 row.
+        scenarios = mixed_corpus()
+        refs = [reference_integrate(sc) for sc in scenarios]
+        shapes, empty = [], np.empty
+
+        def noting_empty(shape, *args, **kw):
+            if isinstance(shape, tuple) and len(shape) == 2:
+                shapes.append(shape)
+            return empty(shape, *args, **kw)
+
+        monkeypatch.setattr(engine, "_WINDOW_VALUES", cap)
+        monkeypatch.setattr(engine.np, "empty", noting_empty)
+        trajectories = integrate_batch(scenarios)
+        monkeypatch.undo()
+        for traj, ref in zip(trajectories, refs):
+            assert_bytes_equal(traj, ref)
+        assert shapes and {shape for shape in shapes if shape[0] > 1} == wide
+
+    @pytest.mark.parametrize("x0, status, code", [
+        ([1.0, 1.0, 1.0, 1.0], "Converged", 0),
+        ([1.0, 1.0, 5.0, 5.0], "TimedOut", 4),
+    ])
+    def test_weights_that_sum_past_the_float_range_warn_nowhere(
+            self, tmp_path, capsys, x0, status, code):
+        # Two edges of weight 1e308: every degree sum is finite, the sum of
+        # the weights is not. Each edge's ends start level, so x0 stays put.
+        top = topology_new(4, [(0, 1, 1e308), (2, 3, 1e308)])
+        sc = Scenario(P2_HALF, {"G": top}, x0, topology="G", dt=0.01, t_max=0.2,
+                      record_every=3)
+        traj = integrate(sc)
+        assert_bytes_equal(traj, reference_integrate(sc))
+        assert traj.status == status
+        p = tmp_path / "s.scn"
+        p.write_text(f"protocol = p2\nalpha = 0.5\nx0 = {x0}\nt_max = 0.2\n"
+                     "[topology.G]\nedge 0 1 1e308\nedge 2 3 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # printed to stderr, not raised
+            assert run_cli(["simulate", str(p)]) == code
+        assert "Warning" not in capsys.readouterr().err
 
     def test_the_union_holds_the_live_runs_current_phases(self, monkeypatch):
         # Each field build holds, in run order, the current phase's edges of

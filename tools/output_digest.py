@@ -5,7 +5,7 @@
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
 and so are the scenarios that fuzz-small integrates for its six seed-1
-"tiny" cases. Then nine families run in this process, on ftagree
+"tiny" cases. Then ten families run in this process, on ftagree
 imported from DIR/src:
 
   bounds     ``bounds`` on each of the 60 spectral-mid files
@@ -25,6 +25,9 @@ imported from DIR/src:
   graph      each topology of the 60 spectral-mid files, through the public
              API: n, i, j, w, weights, laplacian, the edge arrays of
              exponent_transform(t, 0.5), and is_connected
+  reconstruct  reconstruct_paper_graph on the published targets and on
+             seeded planted graphs (n = 3..7, integer states): each
+             candidate's n, i, j and w, in the order returned
 
 One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
@@ -40,6 +43,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,6 +126,33 @@ def graph_bytes(ft, t) -> bytes:
     return head + b"".join(f"{a.dtype}{a.shape}".encode() + a.tobytes() for a in arrays)
 
 
+def reconstruct_cases(ft):
+    """(label, x0, V1 target, lambda2(L_B) target) of the published search,
+    and of three seeded planted graphs per n = 3..7: weight 2 on the path
+    0-1-...-(n-1) and on each other pair with probability 1/2, over states
+    drawn from the integers -20..20, with the planted graph's own targets."""
+    yield "published", [-5.0, -3.0, 7.0, 9.0, 4.0, 5.0], 338.0, 1.0409
+    rng = np.random.default_rng(1)
+    for n in range(3, 8):
+        for k in range(3):
+            x0 = rng.integers(-20, 21, n).astype(float)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            keep = rng.random(len(pairs)) < 0.5
+            planted = ft.topology_new(
+                n, [(i, j, 2.0) for (i, j), kept in zip(pairs, keep) if kept or j == i + 1])
+            lam2b = ft.algebraic_connectivity(ft.exponent_transform(planted, 0.5))
+            yield f"n{n}-{k}", x0, ft.v1(planted, x0), lam2b
+
+
+def candidates_bytes(candidates) -> bytes:
+    """The count of candidates, then each one's n and its edge arrays."""
+    parts = [repr(len(candidates)).encode()]
+    for c in candidates:
+        parts.append(repr(c.n).encode())
+        parts += [f"{a.dtype}{a.shape}".encode() + a.tobytes() for a in (c.i, c.j, c.w)]
+    return b"".join(parts)
+
+
 def trajectory_bytes(traj) -> bytes:
     """A trajectory's raw columns, then its status, converged_at and final_value."""
     columns = (traj.t, traj.x, traj.v1, traj.v2, traj.spread, traj.sum)
@@ -167,7 +199,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
         names = ("bounds", "spectral", "simulate", "sparse-batch", "repro", "fuzz", "batch",
-                 "errors", "graph")
+                 "errors", "graph", "reconstruct")
         families = {f: Family(f, tmp) for f in names}
         (tmp / "spectral").mkdir()
         for case in workloads.SpectralMid().generate(1, "full", tmp / "spectral"):
@@ -206,6 +238,9 @@ def main(argv=None) -> int:
             scn = tmp / "errors" / f"{label}.scn"
             scn.write_text(text, encoding="utf-8")
             families["errors"].run(run_cli, scn.name, [command, str(scn)])
+        for label, x0, v1_target, lam2b in reconstruct_cases(ft):
+            found = ft.reconstruct_paper_graph(x0, v1_target, lam2b, 0.5)
+            families["reconstruct"].add(label, candidates_bytes(found))
     for family in families.values():
         if args.verbose:
             print("\n".join(family.lines))
