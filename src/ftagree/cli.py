@@ -6,8 +6,9 @@ Subcommands:
   spectral <file>
   repro [--outdir DIR]
 
-Exit codes: 0 success, 2 config/parse error, 3 disconnected topology
-where a bound was requested, 4 simulation timed out before agreement.
+Exit codes: 0 success, 2 config/parse error (or out of memory), 3
+disconnected topology where a bound was requested, 4 simulation timed
+out before agreement.
 """
 
 import argparse
@@ -153,6 +154,10 @@ def run_cli(argv) -> int:
         return EXIT_DISCONNECTED
     except (FtagreeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        # A last resort: nothing caps a run's kept rows or a dense matrix yet.
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -173,14 +173,17 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     unambiguously. Each phase holds for its dwell, then the next one takes
     over; a fixed topology is one phase (see Scenario.phases).
 
-    Scenarios that share their protocol (kind and alpha) and dt run in
-    one RK4 loop on the disjoint union of their graphs: each run owns a
-    block of the union state, and the union edge list is the edges of
-    each live run's current phase, offset into its block. It is rebuilt
-    when a run switches phase or ends, so a run that agrees or times out
-    gets an exact zero field and its block stays frozen. np.bincount adds
-    a vertex's edge terms in the same order as in the run alone, so every
-    trajectory equals the one-at-a-time run's bit for bit.
+    Scenarios that share alpha and dt run in one RK4 loop on the
+    disjoint union of their graphs, whatever their protocol (P1 and P2
+    mix; linear, at alpha 1, never meets either): each run owns a block
+    of the union state, P1 blocks first, and the union edge list is the
+    edges of each live run's current phase, offset into its block, P2
+    runs' edges first. It is rebuilt when a run switches phase or ends,
+    so a run that agrees or times out gets an exact zero field and its
+    block stays frozen. np.bincount adds a vertex's edge terms in the
+    same order as in the run alone, and sig is taken on the same values
+    (see protocols.edge_field), so every trajectory equals the
+    one-at-a-time run's bit for bit.
 
     The loop runs RK4 from event to event: after the events of step k
     it takes the steps up to the next one (record, switch or end, and at
@@ -192,14 +195,15 @@ def integrate_batch(scenarios: Sequence[Scenario]) -> list[Trajectory]:
     at each step it records it keeps a copy of its block. The columns come
     afterwards from these rows, V1 and V2 by bounds.v1 and bounds.v2. A
     running run whose state is not finite raises NumericalBlowup naming
-    its index at that step, as does a kept row whose V1, V2 or sum overflows.
+    its index at that step, as does a kept row whose V1, V2 or sum
+    overflows; of several runs at one step, the lowest index is named.
     """
-    groups: Dict[Tuple[ProtocolSpec, float], list[_Run]] = {}
+    groups: Dict[Tuple[float, float], list[_Run]] = {}
     runs = [_Run(sc, r) for r, sc in enumerate(scenarios)]
     for run in runs:
-        groups.setdefault((run.sc.protocol, run.sc.dt), []).append(run)
-    for (protocol, dt), group in groups.items():
-        _run_union(group, protocol, dt)
+        groups.setdefault((run.sc.protocol.alpha, run.sc.dt), []).append(run)
+    for (alpha, dt), group in groups.items():
+        _run_union(group, alpha, dt)
     return [run.trajectory() for run in runs]
 
 
@@ -295,19 +299,24 @@ class _Run:
         )
 
 
-def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
-    """Advance runs that share protocol and dt in one RK4 loop until each
-    has agreed or timed out."""
-    # Each run's block, and the (i, j, w) of each of its phases offset into
-    # that block once here, not at every rebuild of the union edge list.
-    lo = 0
-    for pos, run in enumerate(runs):
+def _run_union(runs: list[_Run], alpha: float, dt: float) -> None:
+    """Advance runs (in input order) that share alpha and dt in one RK4
+    loop until each has agreed or timed out."""
+    # Each run's block, P1 blocks first (the sort is stable), so sig of
+    # the sum is taken on a prefix of the state; and the (i, j, w) of each
+    # of its phases offset into that block once here, not at every rebuild
+    # of the union edge list. Events are handled in input order.
+    blocks = sorted(runs, key=lambda run: run.sc.protocol.kind is not ProtocolKind.P1)
+    lo = sig_vertices = 0
+    for pos, run in enumerate(blocks):
         run.pos, run.lo = pos, lo
         lo = run.hi = lo + run.sc.x0.size
         run.phase_edges = [(top.i + run.lo, top.j + run.lo, top.w) for top in run.tops]
-    x = np.concatenate([run.sc.x0 for run in runs])
-    starts = np.array([run.lo for run in runs])
-    tol = np.array([run.sc.agree_tol for run in runs])
+        if run.sc.protocol.kind is ProtocolKind.P1:
+            sig_vertices = run.hi
+    x = np.concatenate([run.sc.x0 for run in blocks])
+    starts = np.array([run.lo for run in blocks])
+    tol = np.array([run.sc.agree_tol for run in blocks])
     live, f, next_event, k = runs, None, 0, 0
     # The states of a window, one row per step; from the first window on,
     # x is one of its rows. high, low and spread are per block, at step k.
@@ -327,7 +336,7 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
         while True:
             if not math.isfinite(np.maximum.reduce(spread)):
                 # Ended blocks are frozen and finite.
-                r = runs[int(np.argmin(np.isfinite(spread)))].index
+                r = min(blocks[pos].index for pos in np.flatnonzero(~np.isfinite(spread)))
                 raise NumericalBlowup(f"non-finite state at t={k * dt} in run {r}")
             hit = (spread <= tol).tolist()
             if k == next_event or True in hit:
@@ -345,10 +354,15 @@ def _run_union(runs: list[_Run], protocol: ProtocolSpec, dt: float) -> None:
                     live = [run for run in live if not run.done]
                     if not live:
                         break
-                    # Only the live runs' current phases: an ended run's
-                    # block gets an exact zero field and stays frozen.
-                    edges = zip(*(run.phase_edges[run.phase] for run in live))
-                    f = edge_field(protocol, *map(np.concatenate, edges), x.size)
+                    # Only the live runs' current phases, P2 runs' first, so
+                    # sig of the edge terms is taken on a prefix: an ended
+                    # run's block gets an exact zero field and stays frozen.
+                    p2 = [run.phase_edges[run.phase] for run in live
+                          if run.sc.protocol.kind is ProtocolKind.P2]
+                    edges = p2 + [run.phase_edges[run.phase] for run in live
+                                  if run.sc.protocol.kind is not ProtocolKind.P2]
+                    f = edge_field(alpha, *map(np.concatenate, zip(*edges)), x.size,
+                                   sum(i.size for i, _, _ in p2), sig_vertices)
                 next_event = min(run.next_event for run in live)
             # A window past an agreement is thrown away, so a run near one
             # (ended runs have tol -inf) is stepped one step at a time.

@@ -46,35 +46,45 @@ class ProtocolSpec:
             )
 
 
-def edge_field(spec: ProtocolSpec, i, j, w, n):
-    """The vector field x -> u of protocol spec on the edge list (i, j, w)
-    of n vertices.
+def edge_field(alpha: float, i, j, w, n: int, sig_edges: int, sig_vertices: int):
+    """The vector field x -> u with exponent alpha on the edge list
+    (i, j, w) of n vertices.
 
     This is the only place the formulas are written. Edge (i, j) adds
-    f = w * d to u_i and -f to u_j, where d = x_j - x_i, or sig(d) under
-    P2. Under P1, sig is then applied to u. The map checks nothing.
+    f = w * d to u_i and -f to u_j, where d = x_j - x_i, or sig(d) for
+    the first sig_edges edges (P2). Then the first sig_vertices entries
+    of u become sig(u) (P1). So the disjoint union of P1 and P2 runs at
+    one alpha is one field: P1 blocks first in the state, P2 edges first
+    in the list. A count that covers the whole array applies sig to the
+    whole array, a count of 0 skips it, and only a mixed union slices,
+    so each run's vertex adds its terms as it would alone. The map
+    checks nothing.
     """
-    alpha = spec.alpha
-    sig_edges = spec.kind is ProtocolKind.P2
-    sig_vertices = spec.kind is ProtocolKind.P1
     if not len(i):  # bincount of no edges gives integer zeros
         return lambda x: np.zeros(n)
+    every_edge, every_vertex = sig_edges == len(i), sig_vertices == n
     # RK4 calls u four times a step, on small arrays, so u looks up no
     # globals and calls no helpers.
     bincount, copysign, absolute = np.bincount, np.copysign, np.abs
 
     def u(x):
         d = x[j] - x[i]
-        if sig_edges:
-            # sig(d): the power of |d|, then the sign of d, so sig(-d) is
-            # -sig(d) bit for bit, which keeps P2's state sum to roundoff.
+        # sig(d): the power of |d|, then the sign of d, so sig(-d) is
+        # -sig(d) bit for bit, which keeps P2's state sum to roundoff.
+        if every_edge:
             d = copysign(absolute(d) ** alpha, d)
+        elif sig_edges:
+            e = d[:sig_edges]
+            copysign(absolute(e) ** alpha, e, out=e)
         f = w * d
         # The pair is exactly antisymmetric, so P2 and linear conserve the
         # sum to roundoff, and a constant state gives an exact zero.
         s = bincount(i, f, n) - bincount(j, f, n)
-        if sig_vertices:
+        if every_vertex:
             s = copysign(absolute(s) ** alpha, s)
+        elif sig_vertices:
+            v = s[:sig_vertices]
+            copysign(absolute(v) ** alpha, v, out=v)
         return s
 
     return u
@@ -85,4 +95,6 @@ def field(spec: ProtocolSpec, t: Topology, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (t.n,):
         raise ValidationError(f"state has shape {x.shape}, topology has n={t.n}")
-    return edge_field(spec, t.i, t.j, t.w, t.n)(x)
+    sig_edges = t.i.size if spec.kind is ProtocolKind.P2 else 0
+    sig_vertices = t.n if spec.kind is ProtocolKind.P1 else 0
+    return edge_field(spec.alpha, t.i, t.j, t.w, t.n, sig_edges, sig_vertices)(x)

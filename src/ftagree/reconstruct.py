@@ -26,10 +26,13 @@ TOL_LAMBDA = 5e-4
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
     """The sum of each subset of values, at the index whose bit b says
-    whether values[b] is in the subset."""
-    sums = np.zeros(1)
-    for v in values:
-        sums = np.concatenate((sums, sums + v))
+    whether values[b] is in the subset. The table is filled in place, so
+    it is the only array allocated."""
+    sums = np.empty(1 << len(values))
+    sums[0] = 0.0
+    for b, v in enumerate(values):
+        k = 1 << b
+        np.add(sums[:k], v, out=sums[k:2 * k])
     return sums
 
 

@@ -23,7 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-from .engine import Scenario, SwitchingSchedule, Trajectory, integrate
+# integrate is not called here, but perfbench's tracer self-test wraps
+# and restores ftagree.repro.integrate, so the name stays.
+from .engine import (  # noqa: F401
+    Scenario, SwitchingSchedule, Trajectory, integrate, integrate_batch)
 from .graph import Topology, complete_topology, cycle_topology, path_topology
 from .protocols import ProtocolKind, ProtocolSpec
 from .reconstruct import reconstruct_paper_graph
@@ -149,10 +152,11 @@ def run_repro() -> ReproResult:
     ]
 
     fixed = replace(switching, topologies={"G1": g1}, topology="G1", schedule=None)
-    traj_p1, traj_p2, traj_switching = [
-        integrate(replace(sc, protocol=protocol, t_max=1.5 * bound))
+    # One batch: the three runs share alpha and dt, so they step together.
+    traj_p1, traj_p2, traj_switching = integrate_batch([
+        replace(sc, protocol=protocol, t_max=1.5 * bound)
         for sc, protocol, bound in ((fixed, p1, t1), (fixed, p2, t2), (switching, p2, computed.t3))
-    ]
+    ])
 
     return ReproResult(
         reports=reports,

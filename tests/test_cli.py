@@ -165,6 +165,14 @@ class TestCli:
         p.write_text(DISCONNECTED)
         assert run_cli(["bounds", str(p)]) == 3
 
+    def test_out_of_memory_exits_2_with_one_line(self, two_agent_file, capsys, monkeypatch):
+        def no_memory(sc):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "integrate", no_memory)
+        assert run_cli(["simulate", str(two_agent_file)]) == 2
+        assert capsys.readouterr().err == "error: out of memory in simulate\n"
+
     def test_simulate_timeout(self, tmp_path, capsys):
         p = tmp_path / "short.scn"
         p.write_text(TWO_AGENT.replace("t_max = 3", "t_max = 0.125"))

@@ -36,7 +36,7 @@ from ftagree import (
     verify_envelope,
 )
 from conftest import random_topology, traced_peak
-from ftagree import engine
+from ftagree import engine, repro
 from ftagree.cli import run_cli
 from ftagree.errors import (
     FtagreeError,
@@ -793,9 +793,9 @@ class TestIntegrateBatch:
             steps.append(k)
             run_step(run, k, *args)
 
-        def recording_field(protocol, i, j, w, n):
+        def recording_field(alpha, i, j, w, n, *sigs):
             builds.append((steps[-1], i, j, w))
-            return edge_field(protocol, i, j, w, n)
+            return edge_field(alpha, i, j, w, n, *sigs)
 
         monkeypatch.setattr(engine._Run, "step", noting_step)
         monkeypatch.setattr(engine, "edge_field", recording_field)
@@ -870,7 +870,7 @@ class TestIntegrateBatch:
         sc = Scenario(P2_HALF, {"G": top}, rng.uniform(-0.5, 0.5, n), topology="G",
                       dt=1e-2, t_max=3.0, agree_tol=1e-12, record_every=1)
         run = engine._Run(sc, 0)
-        engine._run_union([run], sc.protocol, sc.dt)
+        engine._run_union([run], sc.protocol.alpha, sc.dt)
         peak = traced_peak(run.trajectory)
         traj = run.trajectory()
         assert traj.x.shape == (301, n)
@@ -902,6 +902,69 @@ class TestIntegrateBatch:
         ]
         with pytest.raises(NumericalBlowup, match=r"in run 2$"):
             integrate_batch(scenarios)
+
+    def test_blowup_in_a_mixed_union_names_the_lowest_run(self):
+        # Both diverging runs stop being finite at the first step; run 2's
+        # P1 block comes first in the union, run 1 first in the input.
+        edge = topology_new(2, [(0, 1, 1e308)])
+
+        def huge_step(kind, x0=(0.0, 1.0)):
+            return Scenario(ProtocolSpec(kind, 0.99), {"G": edge}, x0, topology="G",
+                            dt=1e4, t_max=1e5)
+
+        scenarios = [huge_step(ProtocolKind.P1, x0=(1.0, 1.0)),
+                     huge_step(ProtocolKind.P2), huge_step(ProtocolKind.P1)]
+        with pytest.raises(NumericalBlowup, match=r"at t=10000\.0 in run 1$"):
+            integrate_batch(scenarios)
+
+    def test_interleaved_protocols_keep_their_bits_in_one_union_per_alpha_and_dt(
+            self, monkeypatch):
+        # P2, linear and P1 runs interleaved, fixed and switching (some
+        # phases have no edges), at two step sizes: one union per (alpha,
+        # dt), with P1 blocks and P2 edges moved to the front in each.
+        rng = np.random.default_rng(20261022)
+        kinds = [ProtocolKind.P2, ProtocolKind.LINEAR, ProtocolKind.P1]
+        scenarios = []
+        for r in range(18):
+            kind, n = kinds[r % 3], 2 + r % 5
+            dt = (1e-2, 5e-3)[(r // 3) % 2]
+            tops = {name: random_topology(rng, n, p=0.7) for name in "AB"}
+            timing = dict(topology="A") if r % 4 < 2 else dict(
+                schedule=SwitchingSchedule((("A", 7 * dt), ("B", 4 * dt)), cyclic=True))
+            scenarios.append(Scenario(
+                ProtocolSpec(kind, 1.0 if kind is ProtocolKind.LINEAR else 0.5), tops,
+                rng.uniform(-3, 3, n), dt=dt, t_max=float(rng.uniform(0.5, 2.0)),
+                agree_tol=1e-3, record_every=int(rng.integers(1, 8)), **timing))
+        refs = [reference_integrate(sc) for sc in scenarios]
+        assert {ref["status"] for ref in refs} == {"Converged", "TimedOut"}
+        unions, run_union = [], engine._run_union
+
+        def noting_union(runs, alpha, dt):
+            unions.append((alpha, dt, [run.index for run in runs]))
+            run_union(runs, alpha, dt)
+
+        monkeypatch.setattr(engine, "_run_union", noting_union)
+        for traj, ref in zip(integrate_batch(scenarios), refs):
+            assert_bytes_equal(traj, ref)
+        assert sorted((alpha, dt) for alpha, dt, _ in unions) == [
+            (0.5, 5e-3), (0.5, 1e-2), (1.0, 5e-3), (1.0, 1e-2)]
+        for alpha, dt, indices in unions:
+            assert indices == [r for r, sc in enumerate(scenarios)
+                               if (sc.protocol.alpha, sc.dt) == (alpha, dt)]
+
+    def test_repro_is_one_batch_equal_to_three_runs(self, monkeypatch):
+        batches, batch = [], repro.integrate_batch
+
+        def noting_batch(scenarios):
+            batches.append(scenarios)
+            return batch(scenarios)
+
+        monkeypatch.setattr(repro, "integrate_batch", noting_batch)
+        result = repro.run_repro()
+        [scenarios] = batches
+        got = (result.traj_p1, result.traj_p2, result.traj_switching)
+        for traj, sc in zip(got, scenarios, strict=True):
+            assert_bytes_equal(traj, dataclasses.asdict(integrate(sc)))
 
     def test_empty_batch(self):
         assert integrate_batch([]) == []

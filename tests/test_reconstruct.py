@@ -117,6 +117,22 @@ def test_a_seven_vertex_search_recovers_its_planted_path_within_40_megabytes():
     assert any(np.array_equal(c.weights, planted.weights) for c in found[0])
 
 
+@pytest.mark.parametrize("size", [15, 21])
+def test_the_subset_sum_table_is_built_in_place(size):
+    # 2**size doubles (256 KB for six agents, 16 MB for seven) and almost
+    # nothing beside them; each entry is the sum that doubling the table
+    # gives, bit for bit.
+    values = np.sqrt(np.arange(1.0, size + 1.0))
+    table = []
+    peak = traced_peak(lambda: table.append(reconstruct._subset_sums(values)))
+    assert table[0].nbytes == 8 * 2**size
+    assert peak <= 1.1 * table[0].nbytes
+    want = np.zeros(1)
+    for v in values:
+        want = np.concatenate((want, want + v))
+    assert table[0].tobytes() == want.tobytes()
+
+
 def test_published_search_peaks_below_one_megabyte():
     peak = traced_peak(lambda: reconstruct_paper_graph(X0, 338.0, 1.0409, 0.5))
     assert peak < 1e6

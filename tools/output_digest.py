@@ -1,6 +1,6 @@
 """Digest of what the CLI prints and writes on the benchmark's seed-1 inputs.
 
-    python3 tools/output_digest.py [--src DIR] [--verbose]
+    python3 tools/output_digest.py [--src DIR] [--verbose] [--write]
 
 The seed-1 scenario files of the spectral-mid and sparse-large workloads
 are generated with DIR/perfbench/workloads.py into a temporary directory,
@@ -33,6 +33,13 @@ One sha256 is printed per family. It covers every exit code, stdout,
 stderr and written file, so two checkouts print the same digest for a
 family exactly when that family's output is byte-identical. --verbose
 adds one line per run and per written file, to find what differs.
+
+--write stores the ten digests in tests/output_digests.json (PINNED),
+with a stamp of what they depend on besides src/: the Python and numpy
+versions, the platform and the sha256 of perfbench/workloads.py, which
+generates the inputs. tests/test_output_digests.py compares a fresh run
+against that file. Regenerate it only when a change means to change an
+output, and say which families changed and why.
 """
 
 import argparse
@@ -40,6 +47,8 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED = ROOT / "tests" / "output_digests.json"
 
 
 def load(src: Path):
@@ -188,13 +198,19 @@ class Family:
         return digest("\n".join(self.lines).encode())
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT,
-                        help="checkout whose src/ and perfbench/ to run (default: this one)")
-    parser.add_argument("--verbose", action="store_true", help="one line per run and file")
-    args = parser.parse_args(argv)
-    ft, workloads = load(args.src.resolve())
+def stamp(src: Path) -> dict:
+    """What the digests depend on besides the package: a change here may move bits."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.machine()}",
+        "workloads.py": digest((src / "perfbench" / "workloads.py").read_bytes()),
+    }
+
+
+def run_families(src: Path) -> dict:
+    """Run every family on the checkout src; {name: Family}."""
+    ft, workloads = load(src)
     run_cli = ft.cli.run_cli
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
@@ -241,10 +257,27 @@ def main(argv=None) -> int:
         for label, x0, v1_target, lam2b in reconstruct_cases(ft):
             found = ft.reconstruct_paper_graph(x0, v1_target, lam2b, 0.5)
             families["reconstruct"].add(label, candidates_bytes(found))
-    for family in families.values():
+    return families
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT,
+                        help="checkout whose src/ and perfbench/ to run (default: this one)")
+    parser.add_argument("--verbose", action="store_true", help="one line per run and file")
+    parser.add_argument("--write", action="store_true",
+                        help=f"store the digests and their stamp in {PINNED.relative_to(ROOT)}")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    found = run_families(src)
+    for family in found.values():
         if args.verbose:
             print("\n".join(family.lines))
         print(f"{family.name} {family.total()} ({len(family.lines)} pieces)")
+    if args.write:
+        pinned = {"stamp": stamp(src), "digests": {f.name: f.total() for f in found.values()}}
+        PINNED.write_text(json.dumps(pinned, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {PINNED}")
     return 0
 
 
