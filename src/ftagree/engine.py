@@ -305,8 +305,10 @@ def _run_union(runs: list[_Run], alpha: float, dt: float) -> None:
     # Each run's block, P1 blocks first (the sort is stable), so sig of
     # the sum is taken on a prefix of the state; and the (i, j, w) of each
     # of its phases offset into that block once here, not at every rebuild
-    # of the union edge list. Events are handled in input order.
+    # of the union edge list. The edge list takes P2 runs first, so sig of
+    # the edge terms is taken on a prefix. Events are handled in input order.
     blocks = sorted(runs, key=lambda run: run.sc.protocol.kind is not ProtocolKind.P1)
+    edge_order = sorted(runs, key=lambda run: run.sc.protocol.kind is not ProtocolKind.P2)
     lo = sig_vertices = 0
     for pos, run in enumerate(blocks):
         run.pos, run.lo = pos, lo
@@ -354,15 +356,16 @@ def _run_union(runs: list[_Run], alpha: float, dt: float) -> None:
                     live = [run for run in live if not run.done]
                     if not live:
                         break
-                    # Only the live runs' current phases, P2 runs' first, so
-                    # sig of the edge terms is taken on a prefix: an ended
-                    # run's block gets an exact zero field and stays frozen.
-                    p2 = [run.phase_edges[run.phase] for run in live
-                          if run.sc.protocol.kind is ProtocolKind.P2]
-                    edges = p2 + [run.phase_edges[run.phase] for run in live
-                                  if run.sc.protocol.kind is not ProtocolKind.P2]
+                    # Only the live runs' current phases: an ended run's
+                    # block gets an exact zero field and stays frozen.
+                    edges, sig_edges = [], 0
+                    for run in edge_order:
+                        if not run.done:
+                            edges.append(run.phase_edges[run.phase])
+                            if run.sc.protocol.kind is ProtocolKind.P2:
+                                sig_edges += edges[-1][0].size
                     f = edge_field(alpha, *map(np.concatenate, zip(*edges)), x.size,
-                                   sum(i.size for i, _, _ in p2), sig_vertices)
+                                   sig_edges, sig_vertices)
                 next_event = min(run.next_event for run in live)
             # A window past an agreement is thrown away, so a run near one
             # (ended runs have tol -inf) is stepped one step at a time.

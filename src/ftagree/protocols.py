@@ -55,14 +55,12 @@ def edge_field(alpha: float, i, j, w, n: int, sig_edges: int, sig_vertices: int)
     the first sig_edges edges (P2). Then the first sig_vertices entries
     of u become sig(u) (P1). So the disjoint union of P1 and P2 runs at
     one alpha is one field: P1 blocks first in the state, P2 edges first
-    in the list. A count that covers the whole array applies sig to the
-    whole array, a count of 0 skips it, and only a mixed union slices,
-    so each run's vertex adds its terms as it would alone. The map
-    checks nothing.
+    in the list. sig works in place on the prefix (a count of 0 skips
+    it), elementwise, so each run's vertex adds its terms as it would
+    alone. The map checks nothing.
     """
     if not len(i):  # bincount of no edges gives integer zeros
         return lambda x: np.zeros(n)
-    every_edge, every_vertex = sig_edges == len(i), sig_vertices == n
     # RK4 calls u four times a step, on small arrays, so u looks up no
     # globals and calls no helpers.
     bincount, copysign, absolute = np.bincount, np.copysign, np.abs
@@ -71,18 +69,14 @@ def edge_field(alpha: float, i, j, w, n: int, sig_edges: int, sig_vertices: int)
         d = x[j] - x[i]
         # sig(d): the power of |d|, then the sign of d, so sig(-d) is
         # -sig(d) bit for bit, which keeps P2's state sum to roundoff.
-        if every_edge:
-            d = copysign(absolute(d) ** alpha, d)
-        elif sig_edges:
+        if sig_edges:
             e = d[:sig_edges]
             copysign(absolute(e) ** alpha, e, out=e)
         f = w * d
         # The pair is exactly antisymmetric, so P2 and linear conserve the
         # sum to roundoff, and a constant state gives an exact zero.
         s = bincount(i, f, n) - bincount(j, f, n)
-        if every_vertex:
-            s = copysign(absolute(s) ** alpha, s)
-        elif sig_vertices:
+        if sig_vertices:
             v = s[:sig_vertices]
             copysign(absolute(v) ** alpha, v, out=v)
         return s

@@ -23,10 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-# integrate is not called here, but perfbench's tracer self-test wraps
-# and restores ftagree.repro.integrate, so the name stays.
-from .engine import (  # noqa: F401
-    Scenario, SwitchingSchedule, Trajectory, integrate, integrate_batch)
+from .engine import Scenario, SwitchingSchedule, Trajectory, integrate_batch
 from .graph import Topology, complete_topology, cycle_topology, path_topology
 from .protocols import ProtocolKind, ProtocolSpec
 from .reconstruct import reconstruct_paper_graph

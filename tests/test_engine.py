@@ -677,7 +677,7 @@ def mixed_corpus(seed=20261019):
     for r in range(30):
         n = 1 + r % 8
         kind = kinds[r % 3]
-        # Several runs share each (protocol, dt) group.
+        # Several runs share each (alpha, dt) group.
         alpha = 1.0 if kind is ProtocolKind.LINEAR else (0.5, 0.7)[r % 2]
         dt = (1e-2, 5e-3)[(r // 2) % 2]
         t_max = float(rng.uniform(0.5, 3.0))
